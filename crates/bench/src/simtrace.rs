@@ -167,7 +167,7 @@ pub fn record_chain(label: &str, cluster: &ClusterModel, chain: &ChainMetrics) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ssj_mapreduce::{Dataset, Emitter, JobBuilder, Mapper, Reducer};
+    use ssj_mapreduce::{Dataset, Emitter, Mapper, Plan, PlanRunner, Reducer};
     use ssj_observe::ChromeTrace;
     use std::sync::Arc;
 
@@ -195,12 +195,9 @@ mod tests {
     #[test]
     fn sim_timeline_renders_schedule() {
         let input = Dataset::from_records((0..64u32).map(|i| (i, i)).collect::<Vec<_>>(), 4);
-        let (_, metrics) =
-            JobBuilder::new("simtrace-job")
-                .reduce_tasks(4)
-                .run(&input, |_| Id, |_| Sum);
-        let mut chain = ChainMetrics::default();
-        chain.push(metrics);
+        let mut plan = Plan::new("simtrace-plan");
+        plan.add("simtrace-job", input, 4, |_| Id, |_| Sum);
+        let chain = PlanRunner::pipelined().run(plan).metrics;
 
         let cluster = ClusterModel::paper_default(3);
         let collector = Arc::new(Collector::new());

@@ -10,8 +10,10 @@
 //! * a sort-merge shuffle with per-partition routing through a
 //!   [`Partitioner`], optional [`Combiner`], and byte-level accounting via
 //!   [`ssj_common::ByteSize`];
-//! * parallel task execution on a thread pool, with per-task wall-clock and
-//!   record/byte counters collected into [`JobMetrics`];
+//! * a [`Plan`] of such jobs executed by one [`PlanRunner`] on a shared
+//!   thread pool — with bounded retry, deterministic fault injection and
+//!   per-task wall-clock and record/byte counters collected into
+//!   [`JobMetrics`];
 //! * a [`ClusterModel`] that schedules the measured task durations onto a
 //!   configurable `nodes × slots` cluster and charges shuffle volume against
 //!   a network-bandwidth model, yielding the simulated makespan used by the
@@ -22,7 +24,7 @@
 //! Word count:
 //!
 //! ```
-//! use ssj_mapreduce::{Dataset, Emitter, JobBuilder, Mapper, Reducer};
+//! use ssj_mapreduce::{Dataset, Emitter, Mapper, Plan, PlanRunner, Reducer};
 //!
 //! struct Tokenize;
 //! impl Mapper for Tokenize {
@@ -49,21 +51,19 @@
 //! }
 //!
 //! let input = Dataset::from_records(vec![(0u32, "a b a".to_string()), (1, "b".to_string())], 2);
-//! let (output, metrics) = JobBuilder::new("wordcount")
-//!     .reduce_tasks(2)
-//!     .run(&input, |_| Tokenize, |_| Sum);
-//! let mut counts: Vec<(String, u64)> = output.into_records().collect();
+//! let mut plan = Plan::new("wordcount");
+//! let words = plan.add("count", input, 2, |_| Tokenize, |_| Sum);
+//! let mut outcome = PlanRunner::pipelined().run(plan);
+//! let mut counts: Vec<(String, u64)> = outcome.take_output(words).into_records().collect();
 //! counts.sort();
 //! assert_eq!(counts, vec![("a".into(), 2), ("b".into(), 2)]);
-//! assert_eq!(metrics.map_output_records(), 4);
+//! assert_eq!(outcome.metrics.jobs[0].map_output_records(), 4);
 //! ```
 
 pub mod cluster;
 pub mod dataset;
-pub mod dfs;
 pub mod emitter;
 pub mod executor;
-pub mod job;
 pub mod merge;
 pub mod metrics;
 pub mod partitioner;
@@ -75,16 +75,14 @@ pub mod traits;
 
 pub use cluster::{schedules_makespan_secs, ClusterModel, PhaseTimes, SimSchedule, SimTask};
 pub use dataset::Dataset;
-pub use dfs::Dfs;
 pub use emitter::Emitter;
-pub use executor::{AttemptCtx, ExecPolicy, TaskError, TaskFailure};
-pub use job::{IdentityCombiner, JobBuilder};
+pub use executor::{TaskError, TaskFailure};
 pub use merge::{CoGroupedRuns, GroupValues, GroupedRuns, KWayMerge, SideGroups};
 pub use metrics::{ChainMetrics, ExecSummary, JobMetrics, TaskKind, TaskStat};
 pub use partitioner::{DirectPartitioner, HashPartitioner, Partitioner};
 pub use plan::{
-    next_plan_run_id, BroadcastHandle, Plan, PlanMode, PlanOutcome, PlanRunner, Stage, StageEdge,
-    StageHandle, StageInput,
+    next_plan_run_id, BroadcastHandle, IdentityCombiner, Plan, PlanMode, PlanOutcome, PlanRunner,
+    Stage, StageEdge, StageHandle, StageInput,
 };
 pub use sim_faults::{SimFaultError, SimFaultOutcome, SimFaultPolicy};
 pub use spill::{SharedRun, SpillStore};

@@ -16,24 +16,26 @@
 //! memory; [`PlanOutcome::peak_live_bytes`] reports the high-water mark.
 //!
 //! **The hard invariant:** pipelining changes *when* tasks run, never
-//! *what* they compute. Per-stage task bodies are byte-for-byte the ones
-//! [`JobBuilder`](crate::JobBuilder) runs (same split → map → combine →
-//! partition → sort → transpose → k-way-merge → reduce pipeline, same
-//! spans, same byte accounting), stage inputs are the upstream reduce
-//! partitions in reduce-task order (exactly what
+//! *what* they compute. Every stage runs one task body per phase (split →
+//! map → partition → sort → combine → transpose → k-way-merge → reduce,
+//! with the same spans and byte accounting in either mode), stage inputs
+//! are the upstream reduce partitions in reduce-task order (exactly what
 //! `Dataset::from_partitions` would hand the next job), and retries
 //! re-fetch sealed partitions instead of re-running upstream work. So all
 //! *logical* metrics — shuffle records/bytes, duplication, per-key
 //! grouping, result digests — are bit-identical between
-//! [`PlanMode::Pipelined`], [`PlanMode::Sequential`], and the legacy
-//! imperative `JobBuilder` chain. Only wall-clock durations (and the
-//! memory high-water mark) differ.
+//! [`PlanMode::Pipelined`] and [`PlanMode::Sequential`]. Only wall-clock
+//! durations (and the memory high-water mark) differ.
+//!
+//! The runner is the engine's only executor. Its worker loop owns the
+//! attempt machinery: bounded retry with exponential backoff
+//! ([`RetryPolicy`]), per-attempt `catch_unwind`, and deterministic fault
+//! injection from a [`FaultPlan`]. A one-stage plan is a plain MapReduce
+//! job.
 
 use crate::dataset::Dataset;
-use crate::dfs::Dfs;
 use crate::emitter::Emitter;
-use crate::executor::{default_workers, panic_message};
-use crate::job::{combine_runs, IdentityCombiner};
+use crate::executor::{default_workers, panic_message, TaskError, TaskFailure};
 use crate::merge::{CoGroupedRuns, GroupedRuns};
 use crate::metrics::{ChainMetrics, ExecSummary, JobMetrics, TaskKind, TaskStat};
 use crate::partitioner::{HashPartitioner, Partitioner};
@@ -49,8 +51,6 @@ use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-use crate::executor::{TaskError, TaskFailure};
 
 // ---------------------------------------------------------------------------
 // Type-erased stage data.
@@ -165,8 +165,9 @@ enum StageKind {
     CoGroup { run_cogroup: CoGroupFn },
 }
 
-/// One type-erased stage of a [`Plan`]. Built by the `add*` methods; the
-/// closures replicate [`JobBuilder::run_full`]'s task bodies exactly.
+/// One type-erased stage of a [`Plan`]. Built by the `add*` methods, which
+/// capture the stage's typed task bodies in the closures of its
+/// [`StageKind`].
 pub struct Stage {
     name: String,
     edges: Vec<InputEdge>,
@@ -288,13 +289,6 @@ impl<K, V, const N: usize> From<[StageHandle<K, V>; N]> for StageInput<K, V> {
     }
 }
 
-impl<K: Send + Sync + 'static, V: Send + Sync + 'static> StageInput<K, V> {
-    /// Take a named dataset out of the [`Dfs`] as an external stage input.
-    pub fn from_dfs(dfs: &mut Dfs, name: &str) -> Self {
-        StageInput::Dataset(dfs.take(name))
-    }
-}
-
 /// Typed reference to a broadcast value registered with
 /// [`Plan::broadcast`]; pass to [`Plan::add_full_broadcast`] to give a
 /// stage the value as a tracked side-input edge.
@@ -329,10 +323,11 @@ pub enum PlanMode {
     /// partitions are dropped as soon as their last consumer map succeeds.
     #[default]
     Pipelined,
-    /// Stage-barriered execution (a faithful stand-in for the legacy
-    /// `JobBuilder` chain): a stage's maps are released only when its
-    /// upstream stage has fully completed, and an upstream stage's output
-    /// partitions are dropped only when the consuming stage completes.
+    /// Stage-barriered execution (Hadoop's job-at-a-time chain, where each
+    /// job starts only once the previous one has written its output): a
+    /// stage's maps are released only when its upstream stage has fully
+    /// completed, and an upstream stage's output partitions are dropped
+    /// only when the consuming stage completes.
     Sequential,
 }
 
@@ -379,8 +374,7 @@ impl Plan {
 
     /// Inject faults from a deterministic [`FaultPlan`] into every stage's
     /// task attempts (decisions are keyed by stage name, phase, task and
-    /// attempt — exactly like [`JobBuilder::faults`](crate::JobBuilder)).
-    /// When unset, a process-global plan installed via
+    /// attempt). When unset, a process-global plan installed via
     /// [`ssj_faults::install_plan`] still applies.
     pub fn with_faults(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(Arc::new(plan));
@@ -410,8 +404,8 @@ impl Plan {
     /// stages (see [`Plan::add_full_broadcast`]) as `Arc` side data: it is
     /// materialized once, handed to every task attempt, and the runner
     /// holds its reference until the last consumer stage finishes — the
-    /// tracked-edge replacement for stashing shared state in a
-    /// [`Dfs`] blob side channel.
+    /// tracked-edge alternative to capturing shared state in every task
+    /// factory.
     pub fn broadcast<T: Send + Sync + 'static>(&mut self, value: Arc<T>) -> BroadcastHandle<T> {
         let slot = self.broadcasts.len();
         self.broadcasts.push(value as AnyPart);
@@ -578,8 +572,7 @@ impl Plan {
     }
 
     /// Shared type-erased stage builder: resolves the input edges, then
-    /// builds the map/transpose/reduce closures (byte-for-byte the
-    /// [`JobBuilder::run_full`] task bodies).
+    /// builds the map/transpose/reduce closures.
     #[allow(clippy::too_many_arguments)]
     fn add_inner<M, R, P, C>(
         &mut self,
@@ -654,8 +647,10 @@ impl Plan {
             edges.push(InputEdge::Broadcast(slot));
         }
 
-        // A commutative combiner licenses the unstable map-side bucket
-        // sort — the same rule JobBuilder::run_full applies.
+        // A commutative combiner erases any equal-key permutation before
+        // the shuffle observes it, which licenses the faster unstable
+        // map-side bucket sort; everything else keeps the stable sort so
+        // reducers see values in exact emission order.
         let unstable_bucket_sort = combiner.as_ref().is_some_and(|c| c.is_commutative());
 
         let map_name = name.clone();
@@ -1040,6 +1035,95 @@ impl Plan {
 }
 
 // ---------------------------------------------------------------------------
+// Map-side combine.
+// ---------------------------------------------------------------------------
+
+/// A combiner that passes values through unchanged (no combining).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdentityCombiner;
+
+impl<K: Key, V: Value> Combiner<K, V> for IdentityCombiner {
+    fn combine(&self, _key: &K, values: Vec<V>) -> Vec<V> {
+        values
+    }
+
+    fn combine_into(&self, _key: &K, values: &mut dyn Iterator<Item = V>, out: &mut Vec<V>) {
+        out.extend(values);
+    }
+}
+
+/// One key run drained straight off a sorted bucket iterator: yields the
+/// values of `key` and stops at the first pair with a different key,
+/// leaving it in the underlying iterator.
+struct RunValues<'a, K: Key, V: Value, I: Iterator<Item = (K, V)>> {
+    first: Option<V>,
+    key: &'a K,
+    rest: &'a mut std::iter::Peekable<I>,
+}
+
+impl<K: Key, V: Value, I: Iterator<Item = (K, V)>> Iterator for RunValues<'_, K, V, I> {
+    type Item = V;
+
+    fn next(&mut self) -> Option<V> {
+        if let Some(v) = self.first.take() {
+            return Some(v);
+        }
+        if self.rest.peek().is_some_and(|(k, _)| k == self.key) {
+            return self.rest.next().map(|(_, v)| v);
+        }
+        None
+    }
+}
+
+/// Apply a combiner to every key run of a sorted map-side bucket.
+///
+/// Key groups stream off the bucket through [`Combiner::combine_into`]:
+/// fold-style combiners ([`crate::SumCombiner`], the verification-count
+/// combiner) run with **no per-key allocation** — one reused scratch vector
+/// amortizes over the whole bucket.
+fn combine_runs<K: Key, V: Value, C: Combiner<K, V>>(
+    bucket: Vec<(K, V)>,
+    combiner: &C,
+) -> Vec<(K, V)> {
+    let mut out = Vec::with_capacity(bucket.len());
+    let mut vals: Vec<V> = Vec::new(); // reused across key groups
+    let mut it = bucket.into_iter().peekable();
+    while let Some((key, first)) = it.next() {
+        {
+            let mut run = RunValues {
+                first: Some(first),
+                key: &key,
+                rest: &mut it,
+            };
+            combiner.combine_into(&key, &mut run, &mut vals);
+            // The contract says the combiner exhausts the run; drain any
+            // leftovers so a lazy combiner cannot leak values into the
+            // next group.
+            for _leftover in run {}
+        }
+        flush_combined(key, &mut vals, &mut out);
+    }
+    out
+}
+
+/// Move one combined key group out of the scratch buffer, cloning the key
+/// only for the first `n - 1` pairs and moving it into the last (the
+/// common single-value case clones nothing).
+fn flush_combined<K: Key, V: Value>(key: K, vals: &mut Vec<V>, out: &mut Vec<(K, V)>) {
+    let n = vals.len();
+    if n == 0 {
+        return;
+    }
+    let mut drained = vals.drain(..);
+    for _ in 0..n - 1 {
+        out.push((key.clone(), drained.next().expect("n values")));
+    }
+    let last = drained.next().expect("n values");
+    drop(drained);
+    out.push((key, last));
+}
+
+// ---------------------------------------------------------------------------
 // Runner.
 // ---------------------------------------------------------------------------
 
@@ -1069,8 +1153,8 @@ impl PlanRunner {
     ///
     /// # Panics
     /// Panics with the [`TaskFailure`] message if any task exhausts its
-    /// retry budget — the same failure surface as
-    /// [`JobBuilder`](crate::JobBuilder).
+    /// retry budget (Hadoop's job-failure semantics: in-flight sibling
+    /// attempts drain first, no new attempt starts).
     pub fn run(&self, plan: Plan) -> PlanOutcome {
         run_plan(plan, self.mode)
     }
@@ -1099,8 +1183,9 @@ impl PlanOutcome {
         &self.deps
     }
 
-    /// Take a stage's output dataset (partitions in reduce-task order —
-    /// identical to what `JobBuilder` returns for the same job).
+    /// Take a stage's output dataset: one partition per reduce task, in
+    /// reduce-task order, each holding that task's emissions in emission
+    /// order.
     ///
     /// # Panics
     /// Panics if the output was consumed by a downstream stage (consumed
@@ -1148,17 +1233,6 @@ impl PlanOutcome {
                     .expect("stage output has the handle's declared type")
             })
             .collect()
-    }
-
-    /// Take a stage's output and store it into the [`Dfs`] under `name`.
-    pub fn store_output<K: Key + std::fmt::Debug, V: Value + std::fmt::Debug>(
-        &mut self,
-        h: StageHandle<K, V>,
-        dfs: &mut Dfs,
-        name: impl Into<String>,
-    ) {
-        let out = self.take_output(h);
-        dfs.put(name, out);
     }
 }
 
@@ -1765,8 +1839,7 @@ fn plan_worker_loop(
         match outcome {
             Ok(Body::Map((sealed, stat, pre_r, pre_b))) => {
                 on_map_done(
-                    &mut guard, plan, mode, consumers, deps, item.stage, item.task, sealed, stat,
-                    pre_r, pre_b,
+                    &mut guard, plan, mode, deps, item.stage, item.task, sealed, stat, pre_r, pre_b,
                 );
             }
             Ok(Body::Reduce((part, stat))) => {
@@ -1820,7 +1893,6 @@ fn on_map_done(
     state: &mut RunState,
     plan: &Plan,
     mode: PlanMode,
-    consumers: &[Vec<usize>],
     deps: &[Vec<usize>],
     stage_idx: usize,
     task: usize,
@@ -1831,9 +1903,9 @@ fn on_map_done(
 ) {
     {
         let rt = &mut state.stages[stage_idx];
-        if rt.map_stats[task].is_some() {
-            return; // stale duplicate (cannot happen without speculation)
-        }
+        // A task is re-queued only after its attempt failed, so at most
+        // one attempt per task is ever in flight and each succeeds once.
+        debug_assert!(rt.map_stats[task].is_none(), "map task succeeded twice");
         rt.pre_records += pre_records;
         rt.pre_bytes += pre_bytes;
         rt.shuffle_records += stat.output_records;
@@ -1885,7 +1957,6 @@ fn on_map_done(
     reduce_span.record("tasks", plan.stages[stage_idx].reduce_tasks);
     rt.reduce_span = Some(reduce_span);
 
-    let _ = consumers;
     for t in 0..plan.stages[stage_idx].reduce_tasks {
         state.queue.push_back(Queued {
             stage: stage_idx,
@@ -1914,9 +1985,7 @@ fn on_reduce_done(
     let now = Instant::now();
     {
         let rt = &mut state.stages[stage_idx];
-        if rt.red_stats[task].is_some() {
-            return; // stale duplicate (cannot happen without speculation)
-        }
+        debug_assert!(rt.red_stats[task].is_none(), "reduce task succeeded twice");
         let bytes = stat.output_bytes;
         rt.out_bytes[task] = bytes;
         rt.outputs[task] = Some(part);
@@ -2031,9 +2100,7 @@ fn release_partition(state: &mut RunState, u: usize, t: usize) {
 }
 
 /// Assemble the stage's [`JobMetrics`], close its spans, and emit the
-/// per-job registry counters — the exact block `JobBuilder::run_full`
-/// emits, so observability output is independent of which execution layer
-/// ran the job.
+/// per-job registry counters (see [`crate::telemetry`]).
 fn finalize_stage(state: &mut RunState, plan: &Plan, stage_idx: usize) {
     let stage = &plan.stages[stage_idx];
     // This stage is done with its broadcast side inputs: drop each value
@@ -2101,7 +2168,6 @@ fn finalize_stage(state: &mut RunState, plan: &Plan, stage_idx: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::JobBuilder;
     use crate::merge::SideGroups;
     use crate::traits::{Reducer, SumCombiner};
 
@@ -2232,39 +2298,164 @@ mod tests {
         (plan, buckets)
     }
 
+    /// [`Tokenize`] plus a lifecycle check: `setup` must run before the
+    /// first `map`, and `cleanup` emits how many lines the task mapped
+    /// under the key `#lines` (nothing for an empty split).
+    #[derive(Default)]
+    struct CountingTokenize {
+        set_up: bool,
+        lines: u64,
+    }
+    impl Mapper for CountingTokenize {
+        type InKey = u32;
+        type InValue = String;
+        type OutKey = String;
+        type OutValue = u64;
+        fn setup(&mut self) {
+            assert_eq!(self.lines, 0, "setup runs once, before any map call");
+            self.set_up = true;
+        }
+        fn map(&mut self, _k: u32, line: String, out: &mut Emitter<String, u64>) {
+            assert!(self.set_up, "setup runs before the first map call");
+            self.lines += 1;
+            for w in line.split_whitespace() {
+                out.emit(w.to_string(), 1);
+            }
+        }
+        fn cleanup(&mut self, out: &mut Emitter<String, u64>) {
+            if self.lines > 0 {
+                out.emit("#lines".to_string(), self.lines);
+            }
+        }
+    }
+
+    /// Split a key-sorted run into `(key, values)` groups.
+    fn group<K: PartialEq, V>(run: Vec<(K, V)>) -> Vec<(K, Vec<V>)> {
+        let mut groups: Vec<(K, Vec<V>)> = Vec::new();
+        for (k, v) in run {
+            match groups.last_mut() {
+                Some((last, vs)) if *last == k => vs.push(v),
+                _ => groups.push((k, vec![v])),
+            }
+        }
+        groups
+    }
+
+    /// Output partitions of a word-count job.
+    type WcPartitions = Vec<Vec<(String, u64)>>;
+
+    /// A single-threaded reference of one word-count job, written without
+    /// the engine's data plane: split → map → partition → stable sort →
+    /// (combine) → group → reduce. Returns the output partitions and the
+    /// job's `(shuffle_records, shuffle_bytes, pre_combine_records)`.
+    fn reference_job(
+        input: &Dataset<u32, String>,
+        reduce_tasks: usize,
+        combine: bool,
+    ) -> (WcPartitions, (usize, usize, usize)) {
+        let (mut shuffle_records, mut shuffle_bytes, mut pre_combine_records) = (0, 0, 0);
+        // Reduce input per partition: map outputs in map-task order.
+        let mut reduce_inputs: WcPartitions = vec![Vec::new(); reduce_tasks];
+        for split in input.partitions() {
+            let mut m = CountingTokenize::default();
+            let mut out = Emitter::new();
+            m.setup();
+            for (k, line) in split {
+                m.map(*k, line.clone(), &mut out);
+            }
+            m.cleanup(&mut out);
+            pre_combine_records += out.len();
+            let mut buckets: Vec<Vec<(String, u64)>> = vec![Vec::new(); reduce_tasks];
+            for (k, v) in out.into_parts().0 {
+                buckets[HashPartitioner.partition(&k, reduce_tasks)].push((k, v));
+            }
+            for (r, mut bucket) in buckets.into_iter().enumerate() {
+                bucket.sort_by(|a, b| a.0.cmp(&b.0));
+                if combine {
+                    bucket = group(bucket)
+                        .into_iter()
+                        .flat_map(|(k, vs)| {
+                            let combined = Combiner::<String, u64>::combine(&SumCombiner, &k, vs);
+                            combined.into_iter().map(move |v| (k.clone(), v))
+                        })
+                        .collect();
+                }
+                shuffle_records += bucket.len();
+                shuffle_bytes += bucket
+                    .iter()
+                    .map(|(k, v)| k.byte_size() + v.byte_size())
+                    .sum::<usize>();
+                reduce_inputs[r].extend(bucket);
+            }
+        }
+        let partitions = reduce_inputs
+            .into_iter()
+            .map(|mut run| {
+                run.sort_by(|a, b| a.0.cmp(&b.0));
+                let mut r = Sum;
+                let mut out = Emitter::new();
+                Reducer::setup(&mut r);
+                for (k, vs) in group(run) {
+                    r.reduce(&k, vs, &mut out);
+                }
+                Reducer::cleanup(&mut r, &mut out);
+                out.into_parts().0
+            })
+            .collect();
+        (
+            partitions,
+            (shuffle_records, shuffle_bytes, pre_combine_records),
+        )
+    }
+
     #[test]
-    fn single_stage_matches_job_builder() {
-        let (jb_out, jb_m) = JobBuilder::new("wc").reduce_tasks(3).run_full(
-            &wc_input(),
-            |_| Tokenize,
-            |_| Sum,
-            &HashPartitioner,
-            Some(&SumCombiner),
+    fn single_stage_matches_reference_pipeline() {
+        // Reverse-ordered keys must still reach each reducer ascending; an
+        // empty input must still run (and shuffle nothing).
+        let reversed = Dataset::from_records(
+            (0u32..100).rev().map(|i| (i, format!("w{i:03}"))).collect(),
+            5,
         );
+        for (input, lines) in [(wc_input(), 3u64), (reversed, 100), (Dataset::empty(), 0)] {
+            for combine in [false, true] {
+                let (want_parts, want_counts) = reference_job(&input, 3, combine);
+                let mut plan = Plan::new("solo");
+                let h = plan.add_full::<CountingTokenize, Sum, _, _, _, _>(
+                    "wc",
+                    input.clone(),
+                    3,
+                    |_| CountingTokenize::default(),
+                    |_| Sum,
+                    HashPartitioner,
+                    combine.then_some(SumCombiner),
+                );
+                let mut outcome = PlanRunner::pipelined().run(plan);
+                let plan_out = outcome.take_output(h);
+                let case = format!("lines={lines} combine={combine}");
 
-        let mut plan = Plan::new("solo");
-        let h = plan.add_full::<Tokenize, Sum, _, _, _, _>(
-            "wc",
-            wc_input(),
-            3,
-            |_| Tokenize,
-            |_| Sum,
-            HashPartitioner,
-            Some(SumCombiner),
-        );
-        let mut outcome = PlanRunner::pipelined().run(plan);
-        let plan_out = outcome.take_output(h);
-
-        // Identical partitions (not just identical multiset of records).
-        assert_eq!(jb_out.partitions(), plan_out.partitions());
-        let pm = &outcome.metrics.jobs[0];
-        assert_eq!(
-            format!("{:?}", logical(pm)),
-            format!("{:?}", logical(&jb_m))
-        );
-        assert_eq!(pm.plan_stage, Some(("solo".to_string(), 0)));
-        // A terminal stage's output is a result, not a live intermediate.
-        assert_eq!(outcome.peak_live_bytes, 0);
+                // Identical partitions (not just identical multiset of records).
+                assert_eq!(plan_out.partitions(), want_parts.as_slice(), "{case}");
+                let pm = &outcome.metrics.jobs[0];
+                assert_eq!(
+                    (pm.shuffle_records, pm.shuffle_bytes, pm.pre_combine_records),
+                    want_counts,
+                    "{case}"
+                );
+                for part in plan_out.partitions() {
+                    assert!(
+                        part.windows(2).all(|w| w[0].0 < w[1].0),
+                        "keys must ascend within a reduce task ({case})"
+                    );
+                }
+                // Every map task's cleanup ran after its last map call.
+                let counted = plan_out.iter().find(|(k, _)| k == "#lines").map(|p| p.1);
+                assert_eq!(counted, (lines > 0).then_some(lines), "{case}");
+                assert_eq!(pm.map_input_records(), lines as usize, "{case}");
+                assert_eq!(pm.plan_stage, Some(("solo".to_string(), 0)));
+                // A terminal stage's output is a result, not a live intermediate.
+                assert_eq!(outcome.peak_live_bytes, 0);
+            }
+        }
     }
 
     #[test]
@@ -2327,31 +2518,68 @@ mod tests {
     fn injected_downstream_map_fault_refetches_sealed_partition() {
         // Fail the first attempt of every map task of the downstream stage:
         // the retries must succeed by re-fetching the sealed upstream
-        // partitions, with zero extra upstream attempts.
-        let faults = FaultPlan::new(7).with_target("by-count", Phase::Map, Fault::Error, 1);
-        let (clean, h_clean) = two_stage_plan(2);
-        let (mut faulty, h_faulty) = {
-            let (p, h) = two_stage_plan(2);
-            (p.with_faults(faults), h)
-        };
-        faulty = faulty.with_retry(RetryPolicy::default());
-        let mut clean_out = PlanRunner::pipelined().run(clean);
-        let mut faulty_out = PlanRunner::pipelined().run(faulty);
-        assert_eq!(
-            sorted(clean_out.take_output(h_clean)),
-            sorted(faulty_out.take_output(h_faulty))
+        // partitions, with zero extra upstream attempts. One worker must
+        // not deadlock waiting on its own retry backoff.
+        for workers in [1, 2] {
+            let faults = FaultPlan::new(7).with_target("by-count", Phase::Map, Fault::Error, 1);
+            let (clean, h_clean) = two_stage_plan(workers);
+            let (mut faulty, h_faulty) = {
+                let (p, h) = two_stage_plan(workers);
+                (p.with_faults(faults), h)
+            };
+            faulty = faulty.with_retry(RetryPolicy::default());
+            let mut clean_out = PlanRunner::pipelined().run(clean);
+            let mut faulty_out = PlanRunner::pipelined().run(faulty);
+            assert_eq!(
+                sorted(clean_out.take_output(h_clean)),
+                sorted(faulty_out.take_output(h_faulty))
+            );
+            let up = &faulty_out.metrics.jobs[0];
+            let down = &faulty_out.metrics.jobs[1];
+            // Upstream ran exactly once per task — its reduces were NOT re-run.
+            assert_eq!(
+                up.exec.attempts,
+                (up.map_tasks.len() + up.reduce_tasks.len()) as u64
+            );
+            assert_eq!(up.exec.retries, 0);
+            // Downstream retried every map once.
+            assert_eq!(down.exec.retries, down.map_tasks.len() as u64);
+            assert_eq!(down.exec.injected_errors, down.map_tasks.len() as u64);
+        }
+    }
+
+    /// [`Sum`] whose reduce body panics when `fail` is set.
+    struct FlakySum {
+        fail: bool,
+    }
+    impl Reducer for FlakySum {
+        type InKey = String;
+        type InValue = u64;
+        type OutKey = String;
+        type OutValue = u64;
+        fn reduce(&mut self, k: &String, vs: Vec<u64>, out: &mut Emitter<String, u64>) {
+            assert!(!self.fail, "flaky reduce");
+            out.emit(k.clone(), vs.into_iter().sum());
+        }
+    }
+
+    /// Word count whose reduce task 0 panics on its first
+    /// `failing_attempts` attempts.
+    fn flaky_plan(workers: usize, failing_attempts: u32) -> (Plan, StageHandle<String, u64>) {
+        let started = Arc::new(std::sync::atomic::AtomicU32::new(0));
+        let mut plan = Plan::new("flaky").with_workers(workers);
+        let h = plan.add::<Tokenize, FlakySum, _, _>(
+            "wc",
+            wc_input(),
+            3,
+            |_| Tokenize,
+            move |i| FlakySum {
+                fail: i == 0
+                    && started.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+                        < failing_attempts,
+            },
         );
-        let up = &faulty_out.metrics.jobs[0];
-        let down = &faulty_out.metrics.jobs[1];
-        // Upstream ran exactly once per task — its reduces were NOT re-run.
-        assert_eq!(
-            up.exec.attempts,
-            (up.map_tasks.len() + up.reduce_tasks.len()) as u64
-        );
-        assert_eq!(up.exec.retries, 0);
-        // Downstream retried every map once.
-        assert_eq!(down.exec.retries, down.map_tasks.len() as u64);
-        assert_eq!(down.exec.injected_errors, down.map_tasks.len() as u64);
+        (plan, h)
     }
 
     #[test]
@@ -2373,24 +2601,32 @@ mod tests {
             msg.contains("\"wc\"") && msg.contains("failed after 2 attempts"),
             "{msg}"
         );
-    }
 
-    #[test]
-    fn dfs_round_trip() {
-        let mut dfs = Dfs::new();
-        dfs.put("lines", wc_input());
-        let mut plan = Plan::new("dfs-plan");
-        let h = plan.add::<Tokenize, Sum, _, _>(
-            "wc",
-            StageInput::from_dfs(&mut dfs, "lines"),
-            2,
-            |_| Tokenize,
-            |_| Sum,
+        // A task body that panics is caught and retried like an injected
+        // error: two panicking attempts recover within the budget (also
+        // on one worker), a permanently panicking one fails the plan
+        // with the panic message.
+        let (clean, h) = flaky_plan(2, 0);
+        let want = sorted(PlanRunner::pipelined().run(clean).take_output(h));
+        for workers in [1, 2] {
+            let (plan, h) = flaky_plan(workers, 2);
+            let mut outcome = PlanRunner::pipelined().run(plan);
+            assert_eq!(sorted(outcome.take_output(h)), want);
+            assert_eq!(outcome.metrics.jobs[0].exec.retries, 2);
+        }
+        let (plan, _) = flaky_plan(2, u32::MAX);
+        let plan = plan.with_retry(RetryPolicy {
+            max_attempts: 3,
+            ..RetryPolicy::default()
+        });
+        let err = catch_unwind(AssertUnwindSafe(|| PlanRunner::pipelined().run(plan)))
+            .err()
+            .expect("a permanently panicking task must exhaust its budget");
+        let msg = panic_message(&err);
+        assert!(
+            msg.contains("reduce task 0 failed after 3 attempts: panicked: flaky reduce"),
+            "{msg}"
         );
-        let mut outcome = PlanRunner::pipelined().run(plan);
-        outcome.store_output(h, &mut dfs, "counts");
-        let counts: &Dataset<String, u64> = dfs.get("counts");
-        assert_eq!(counts.total_records(), 6);
     }
 
     #[test]

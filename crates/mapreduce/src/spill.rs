@@ -4,20 +4,16 @@
 //! mapper's local disk; reducers *fetch* those spill files over HTTP. The
 //! consequence that matters for fault tolerance: a failed reduce attempt
 //! only re-fetches — the map phase never re-runs. This module gives the
-//! in-process engine the same recovery boundary. [`JobBuilder`]
-//! (crate::JobBuilder) parks each map task's reduce-bucket output in a
-//! [`SpillStore`] at shuffle time, and every reduce *attempt* (first try,
-//! retry, or speculative copy) fetches its input runs from the store. A
-//! [`SpillStore`] can also be registered with a [`Dfs`] (crate::Dfs) via
-//! [`Dfs::put_blob`](crate::Dfs::put_blob) when a driver wants the
-//! checkpoint to outlive the job (multi-job pipelines re-reading
-//! intermediate output).
+//! in-process engine the same recovery boundary. The plan runner's
+//! shuffle parks each stage's map-task outputs in a [`SpillStore`], and
+//! every reduce *attempt* (first try or retry) fetches its input runs
+//! from the store.
 //!
-//! Runs are immutable once registered, so a fetch hands out `Arc`-shared
-//! **views**, not deep copies: a retried or speculative reduce attempt
-//! re-fetches pointers to the same allocations the first attempt read.
+//! Runs are immutable once stored, so a fetch hands out `Arc`-shared
+//! **views**, not deep copies: a retried reduce attempt re-fetches
+//! pointers to the same allocations the first attempt read.
 //! The replay-identical-input contract is preserved by immutability (the
-//! store exposes no `&mut` access to a registered run), and the zero-copy
+//! store exposes no `&mut` access to a stored run), and the zero-copy
 //! fetch is asserted by test below (`Arc::ptr_eq` across fetches).
 
 use crate::traits::{Key, Value};
@@ -38,40 +34,15 @@ pub struct SpillStore<K, V> {
 }
 
 impl<K: Key, V: Value> SpillStore<K, V> {
-    /// An empty store with `reduce_tasks` partitions.
-    pub fn new(reduce_tasks: usize) -> Self {
-        SpillStore {
-            runs: (0..reduce_tasks).map(|_| Vec::new()).collect(),
-        }
-    }
-
-    /// Build a store directly from transposed shuffle output
-    /// (`inputs[r]` = runs for reduce task `r`).
-    pub fn from_runs(inputs: Vec<Vec<Vec<(K, V)>>>) -> Self {
-        SpillStore {
-            runs: inputs
-                .into_iter()
-                .map(|part| part.into_iter().map(Arc::new).collect())
-                .collect(),
-        }
-    }
-
-    /// Build a store from already-shared runs (the parallel shuffle
-    /// transpose produces these). Empty runs are dropped.
+    /// Build a store from the shuffle transpose's shared runs
+    /// (`inputs[r]` = runs for reduce task `r`, in map-task order). Empty
+    /// runs are dropped (nothing to fetch).
     pub fn from_shared(inputs: Vec<Vec<SharedRun<K, V>>>) -> Self {
         SpillStore {
             runs: inputs
                 .into_iter()
                 .map(|part| part.into_iter().filter(|run| !run.is_empty()).collect())
                 .collect(),
-        }
-    }
-
-    /// Register one map task's output run for reduce task `r`. Empty runs
-    /// are dropped (nothing to fetch).
-    pub fn register(&mut self, r: usize, run: Vec<(K, V)>) {
-        if !run.is_empty() {
-            self.runs[r].push(Arc::new(run));
         }
     }
 
@@ -86,8 +57,8 @@ impl<K: Key, V: Value> SpillStore<K, V> {
     }
 
     /// Fetch the input runs for reduce task `r`: `Arc`-shared views of the
-    /// checkpointed runs (no copy), so a retried or speculative attempt
-    /// sees *the same bytes* the first attempt saw.
+    /// checkpointed runs (no copy), so a retried attempt sees *the same
+    /// bytes* the first attempt saw.
     pub fn fetch(&self, r: usize) -> Vec<SharedRun<K, V>> {
         self.runs[r].iter().map(Arc::clone).collect()
     }
@@ -113,12 +84,10 @@ mod tests {
     use super::*;
 
     fn store() -> SpillStore<u32, u64> {
-        let mut s = SpillStore::new(2);
-        s.register(0, vec![(1, 10), (3, 30)]);
-        s.register(1, vec![(2, 20)]);
-        s.register(0, vec![(5, 50)]);
-        s.register(1, Vec::new()); // dropped
-        s
+        SpillStore::from_shared(vec![
+            vec![Arc::new(vec![(1, 10), (3, 30)]), Arc::new(vec![(5, 50)])],
+            vec![Arc::new(vec![(2, 20)]), Arc::new(Vec::new())], // empty run dropped
+        ])
     }
 
     fn materialize(runs: &[SharedRun<u32, u64>]) -> Vec<Vec<(u32, u64)>> {
@@ -145,7 +114,7 @@ mod tests {
         // store (runs are behind Arc with no &mut access).
         let consumed: usize = first.iter().map(|run| run.len()).sum();
         assert_eq!(consumed, 3);
-        // A second (retried / speculative) attempt re-fetches *views of
+        // A second (retried) attempt re-fetches *views of
         // the same allocations* — zero-copy, byte-identical by identity.
         let second = s.fetch(0);
         assert_eq!(first.len(), second.len());
@@ -171,13 +140,6 @@ mod tests {
         assert_eq!(s.reduce_tasks(), 2);
         assert_eq!(s.total_records(), 4);
         assert_eq!(s.total_bytes(), 4 * (4 + 8)); // u32 key + u64 value
-    }
-
-    #[test]
-    fn from_runs_round_trip() {
-        let s = SpillStore::from_runs(vec![vec![vec![(7u32, 70u64)]], vec![]]);
-        assert_eq!(materialize(&s.fetch(0)), vec![vec![(7, 70)]]);
-        assert!(s.fetch(1).is_empty());
     }
 
     #[test]

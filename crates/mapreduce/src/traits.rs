@@ -29,8 +29,8 @@ impl<T: Clone + Send + Sync + ByteSize + 'static> Value for T {}
 
 /// A map task.
 ///
-/// One instance is created per map task (via the factory closure passed to
-/// [`JobBuilder::run`](crate::JobBuilder::run)), so implementations may keep
+/// One instance is created per map task attempt (via the factory closure
+/// passed to [`Plan::add`](crate::Plan::add)), so implementations may keep
 /// per-task state across `map` calls — e.g. FS-Join's mapper caches the
 /// pivot array loaded in [`Mapper::setup`].
 pub trait Mapper: Send {

@@ -1,11 +1,12 @@
 //! Property tests for the MapReduce engine: shuffle correctness (every
 //! emitted pair reaches exactly the reducer its partitioner chose, exactly
 //! once), determinism of results and byte counters, and combiner
-//! transparency.
+//! transparency. Each job runs as a one-stage [`Plan`].
 
 use proptest::prelude::*;
 use ssj_mapreduce::{
-    Dataset, DirectPartitioner, Emitter, HashPartitioner, JobBuilder, Mapper, Reducer, SumCombiner,
+    Combiner, Dataset, DirectPartitioner, Emitter, HashPartitioner, IdentityCombiner, JobMetrics,
+    Mapper, Partitioner, Plan, PlanRunner, Reducer, StreamingReducer, SumCombiner,
 };
 
 /// Identity mapper over (u32, u32).
@@ -21,6 +22,7 @@ impl Mapper for IdMap {
 }
 
 /// Reducer that re-emits each (key, value) pair unchanged.
+#[derive(Clone)]
 struct Passthrough;
 impl Reducer for Passthrough {
     type InKey = u32;
@@ -35,6 +37,7 @@ impl Reducer for Passthrough {
 }
 
 /// Reducer summing values per key.
+#[derive(Clone)]
 struct SumRed;
 impl Reducer for SumRed {
     type InKey = u32;
@@ -50,6 +53,39 @@ fn arb_records() -> impl Strategy<Value = Vec<(u32, u32)>> {
     prop::collection::vec((0u32..50, 0u32..1000), 0..200)
 }
 
+/// Run `input` through [`IdMap`] and `reducer` as the single stage of
+/// `plan`; returns the stage's output and metrics.
+fn run_job<R, P, C>(
+    mut plan: Plan,
+    input: &Dataset<u32, u32>,
+    reduce_tasks: usize,
+    reducer: R,
+    partitioner: P,
+    combiner: Option<C>,
+) -> (Dataset<u32, u32>, JobMetrics)
+where
+    R: StreamingReducer<InKey = u32, InValue = u32, OutKey = u32, OutValue = u32>
+        + Clone
+        + Sync
+        + 'static,
+    P: Partitioner<u32> + Send + Sync + 'static,
+    C: Combiner<u32, u32> + 'static,
+{
+    let name = plan.name().to_string();
+    let h = plan.add_full(
+        name,
+        input.clone(),
+        reduce_tasks,
+        |_| IdMap,
+        move |_| reducer.clone(),
+        partitioner,
+        combiner,
+    );
+    let mut outcome = PlanRunner::pipelined().run(plan);
+    let out = outcome.take_output(h);
+    (out, outcome.metrics.jobs.remove(0))
+}
+
 proptest! {
     /// Every emitted pair appears in the output exactly once (multiset
     /// equality through a passthrough job).
@@ -60,9 +96,14 @@ proptest! {
         reducers in 1usize..6,
     ) {
         let input = Dataset::from_records(records.clone(), splits);
-        let (out, metrics) = JobBuilder::new("pass")
-            .reduce_tasks(reducers)
-            .run(&input, |_| IdMap, |_| Passthrough);
+        let (out, metrics) = run_job(
+            Plan::new("pass"),
+            &input,
+            reducers,
+            Passthrough,
+            HashPartitioner,
+            None::<IdentityCombiner>,
+        );
         let mut expect = records;
         expect.sort();
         let mut got: Vec<(u32, u32)> = out.into_records().collect();
@@ -80,14 +121,14 @@ proptest! {
         reducers in 1usize..5,
     ) {
         let input = Dataset::from_records(records, 3);
-        let (out, _) = JobBuilder::new("direct")
-            .reduce_tasks(reducers)
-            .run_partitioned(
-                &input,
-                |_| IdMap,
-                |_| Passthrough,
-                &DirectPartitioner::new(|k: &u32| *k as usize),
-            );
+        let (out, _) = run_job(
+            Plan::new("direct"),
+            &input,
+            reducers,
+            Passthrough,
+            DirectPartitioner::new(|k: &u32| *k as usize),
+            None::<IdentityCombiner>,
+        );
         for (p, part) in out.partitions().iter().enumerate() {
             for (k, _) in part {
                 prop_assert_eq!(*k as usize % reducers, p);
@@ -101,9 +142,14 @@ proptest! {
     fn jobs_are_deterministic(records in arb_records()) {
         let input = Dataset::from_records(records, 4);
         let run = || {
-            JobBuilder::new("det")
-                .reduce_tasks(3)
-                .run(&input, |_| IdMap, |_| SumRed)
+            run_job(
+                Plan::new("det"),
+                &input,
+                3,
+                SumRed,
+                HashPartitioner,
+                None::<IdentityCombiner>,
+            )
         };
         let (out1, m1) = run();
         let (out2, m2) = run();
@@ -117,12 +163,22 @@ proptest! {
     #[test]
     fn combiner_is_transparent(records in arb_records(), splits in 1usize..5) {
         let input = Dataset::from_records(records, splits);
-        let (plain, mp) = JobBuilder::new("plain")
-            .reduce_tasks(3)
-            .run(&input, |_| IdMap, |_| SumRed);
-        let (combined, mc) = JobBuilder::new("combined")
-            .reduce_tasks(3)
-            .run_full(&input, |_| IdMap, |_| SumRed, &HashPartitioner, Some(&SumCombiner));
+        let (plain, mp) = run_job(
+            Plan::new("plain"),
+            &input,
+            3,
+            SumRed,
+            HashPartitioner,
+            None::<IdentityCombiner>,
+        );
+        let (combined, mc) = run_job(
+            Plan::new("combined"),
+            &input,
+            3,
+            SumRed,
+            HashPartitioner,
+            Some(SumCombiner),
+        );
         prop_assert_eq!(plain.partitions(), combined.partitions());
         prop_assert!(mc.shuffle_records <= mp.shuffle_records);
         prop_assert!(mc.shuffle_bytes <= mp.shuffle_bytes);
@@ -133,14 +189,22 @@ proptest! {
     #[test]
     fn worker_count_is_observationally_neutral(records in arb_records()) {
         let input = Dataset::from_records(records, 6);
-        let (o1, m1) = JobBuilder::new("w1")
-            .reduce_tasks(4)
-            .workers(1)
-            .run(&input, |_| IdMap, |_| SumRed);
-        let (o4, m4) = JobBuilder::new("w4")
-            .reduce_tasks(4)
-            .workers(4)
-            .run(&input, |_| IdMap, |_| SumRed);
+        let (o1, m1) = run_job(
+            Plan::new("w1").with_workers(1),
+            &input,
+            4,
+            SumRed,
+            HashPartitioner,
+            None::<IdentityCombiner>,
+        );
+        let (o4, m4) = run_job(
+            Plan::new("w4").with_workers(4),
+            &input,
+            4,
+            SumRed,
+            HashPartitioner,
+            None::<IdentityCombiner>,
+        );
         prop_assert_eq!(o1.partitions(), o4.partitions());
         prop_assert_eq!(m1.shuffle_bytes, m4.shuffle_bytes);
     }

@@ -1,9 +1,21 @@
 //! End-to-end fault-tolerance tests: a job run under an aggressive seeded
 //! fault plan must produce byte-identical output to the fault-free run, and
 //! the same seed must reproduce the exact same retry/injection counters.
+//!
+//! The process-global fault plan is shared by every test in this file, so
+//! each test serializes on one mutex: a plan installed by one test must
+//! never leak into another's "clean" run.
 
-use ssj_faults::{FaultPlan, RetryPolicy, SpeculationPolicy};
-use ssj_mapreduce::{Dataset, Emitter, JobBuilder, Mapper, Reducer};
+use ssj_faults::{FaultPlan, RetryPolicy};
+use ssj_mapreduce::{
+    Dataset, Emitter, ExecSummary, Mapper, Plan, PlanRunner, Reducer, StageHandle,
+};
+use std::sync::{Mutex, MutexGuard};
+
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Word-count-shaped mapper: emits (token, 1) per token.
 struct TokenMap;
@@ -51,19 +63,32 @@ fn sorted_counts(out: Dataset<String, u64>) -> Vec<(String, u64)> {
     v
 }
 
-fn run_with(plan: Option<FaultPlan>) -> (Vec<(String, u64)>, ssj_mapreduce::ExecSummary) {
-    let mut job = JobBuilder::new("wordcount")
-        .reduce_tasks(4)
-        .retry(RetryPolicy::default());
-    if let Some(p) = plan {
-        job = job.faults(p);
+/// The word-count job as a one-stage plan with the default retry policy.
+fn wordcount(reduce_tasks: usize) -> (Plan, StageHandle<String, u64>) {
+    let mut plan = Plan::new("wordcount").with_retry(RetryPolicy::default());
+    let h = plan.add(
+        "wordcount",
+        corpus(),
+        reduce_tasks,
+        |_| TokenMap,
+        |_| CountRed,
+    );
+    (plan, h)
+}
+
+fn run_with(faults: Option<FaultPlan>) -> (Vec<(String, u64)>, ExecSummary) {
+    let (mut plan, h) = wordcount(4);
+    if let Some(p) = faults {
+        plan = plan.with_faults(p);
     }
-    let (out, metrics) = job.run(&corpus(), |_| TokenMap, |_| CountRed);
-    (sorted_counts(out), metrics.exec)
+    let mut outcome = PlanRunner::pipelined().run(plan);
+    let out = sorted_counts(outcome.take_output(h));
+    (out, outcome.metrics.total_exec())
 }
 
 #[test]
 fn chaos_output_matches_fault_free_output() {
+    let _guard = serial();
     ssj_faults::silence_injected_panics();
     let (clean, clean_exec) = run_with(None);
     assert_eq!(clean_exec.retries, 0, "no faults, no retries");
@@ -83,6 +108,7 @@ fn chaos_output_matches_fault_free_output() {
 
 #[test]
 fn same_seed_reproduces_identical_retry_counters() {
+    let _guard = serial();
     ssj_faults::silence_injected_panics();
     let (out_a, exec_a) = run_with(Some(FaultPlan::chaos(99, 0.3)));
     let (out_b, exec_b) = run_with(Some(FaultPlan::chaos(99, 0.3)));
@@ -96,6 +122,7 @@ fn same_seed_reproduces_identical_retry_counters() {
 
 #[test]
 fn different_seeds_draw_different_faults() {
+    let _guard = serial();
     ssj_faults::silence_injected_panics();
     let mut totals = std::collections::BTreeSet::new();
     for seed in 0..6u64 {
@@ -114,56 +141,45 @@ fn different_seeds_draw_different_faults() {
 
 #[test]
 fn globally_installed_plan_applies_and_uninstalls() {
+    let _guard = serial();
     ssj_faults::silence_injected_panics();
     let (clean, _) = run_with(None);
 
     ssj_faults::install_plan(FaultPlan::chaos(5, 0.25));
-    let (out, metrics) = JobBuilder::new("wordcount")
-        .reduce_tasks(4)
-        .retry(RetryPolicy::default())
-        .run(&corpus(), |_| TokenMap, |_| CountRed);
+    let (out, exec) = run_with(None);
     ssj_faults::uninstall_plan();
 
-    assert_eq!(sorted_counts(out), clean);
-    assert!(metrics.exec.injected_total() > 0);
+    assert_eq!(out, clean);
+    assert!(exec.injected_total() > 0);
 
     // After uninstall, jobs run clean again.
-    let (out2, metrics2) =
-        JobBuilder::new("wordcount")
-            .reduce_tasks(4)
-            .run(&corpus(), |_| TokenMap, |_| CountRed);
-    assert_eq!(sorted_counts(out2), clean);
-    assert_eq!(metrics2.exec.injected_total(), 0);
+    let (out2, exec2) = run_with(None);
+    assert_eq!(out2, clean);
+    assert_eq!(exec2.injected_total(), 0);
 }
 
 #[test]
-fn speculation_under_stragglers_preserves_output() {
+fn stragglers_preserve_output() {
+    let _guard = serial();
     ssj_faults::silence_injected_panics();
     let (clean, _) = run_with(None);
-    let mut plan = FaultPlan::new(11).with_stragglers(0.5, 4.0);
-    plan.straggler_delay = std::time::Duration::from_millis(30);
-    let (out, metrics) = JobBuilder::new("wordcount")
-        .reduce_tasks(4)
-        .retry(RetryPolicy::default())
-        .speculation(SpeculationPolicy::enabled())
-        .faults(plan)
-        .run(&corpus(), |_| TokenMap, |_| CountRed);
-    assert_eq!(sorted_counts(out), clean);
-    assert!(metrics.exec.injected_stragglers > 0, "{:?}", metrics.exec);
+    let mut faults = FaultPlan::new(11).with_stragglers(0.5, 4.0);
+    faults.straggler_delay = std::time::Duration::from_millis(30);
+    let (out, exec) = run_with(Some(faults));
+    assert_eq!(out, clean);
+    assert!(exec.injected_stragglers > 0, "{exec:?}");
 }
 
 #[test]
 #[should_panic(expected = "failed after")]
 fn exhausted_retry_budget_fails_the_job() {
+    let _guard = serial();
     ssj_faults::silence_injected_panics();
     // Every attempt of every task errors (rate 1.0, unlimited injected
     // attempts), so the retry budget must run out and the job must fail
     // with the task-failure context in the panic message.
-    let mut plan = FaultPlan::new(3).with_failures(1.0, 0.0);
-    plan.max_injected_attempts = u32::MAX;
-    let _ = JobBuilder::new("wordcount")
-        .reduce_tasks(2)
-        .retry(RetryPolicy::default())
-        .faults(plan)
-        .run(&corpus(), |_| TokenMap, |_| CountRed);
+    let mut faults = FaultPlan::new(3).with_failures(1.0, 0.0);
+    faults.max_injected_attempts = u32::MAX;
+    let (plan, _) = wordcount(2);
+    let _ = PlanRunner::pipelined().run(plan.with_faults(faults));
 }

@@ -5,7 +5,8 @@
 //! one mutex (the file runs single-process under `cargo test`).
 
 use ssj_mapreduce::{
-    ChainMetrics, ClusterModel, Dataset, Emitter, JobBuilder, Mapper, Reducer, SumCombiner,
+    ChainMetrics, ClusterModel, Dataset, Emitter, HashPartitioner, Mapper, Plan, PlanRunner,
+    Reducer, SumCombiner,
 };
 use ssj_observe::{ChromeTrace, Collector, TraceEvent};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -48,15 +49,19 @@ fn word_input() -> Dataset<u32, String> {
 
 fn run_traced_job() -> (Arc<Collector>, ssj_mapreduce::JobMetrics) {
     let collector = ssj_observe::install_collector();
-    let (_, metrics) = JobBuilder::new("observe-wc").reduce_tasks(3).run_full(
-        &word_input(),
+    let mut plan = Plan::new("observe-plan");
+    plan.add_full(
+        "observe-wc",
+        word_input(),
+        3,
         |_| Tokenize,
         |_| Sum,
-        &ssj_mapreduce::HashPartitioner,
-        Some(&SumCombiner),
+        HashPartitioner,
+        Some(SumCombiner),
     );
+    let mut outcome = PlanRunner::pipelined().run(plan);
     ssj_observe::uninstall_collector();
-    (collector, metrics)
+    (collector, outcome.metrics.jobs.remove(0))
 }
 
 fn contains(outer: &TraceEvent, inner: &TraceEvent) -> bool {

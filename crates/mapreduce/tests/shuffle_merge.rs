@@ -8,8 +8,8 @@
 
 use proptest::prelude::*;
 use ssj_mapreduce::{
-    CoGroupedRuns, Dataset, Emitter, GroupValues, GroupedRuns, JobBuilder, KWayMerge, Mapper,
-    Reducer, StreamingReducer,
+    CoGroupedRuns, Dataset, Emitter, GroupValues, GroupedRuns, JobMetrics, KWayMerge, Mapper, Plan,
+    PlanRunner, Reducer, StreamingReducer,
 };
 
 /// Arbitrary set of sorted runs (what the map phase spills): up to 8 runs
@@ -238,16 +238,31 @@ proptest! {
         reducers in 1usize..5,
     ) {
         let input = Dataset::from_records(records, splits);
-        let (batch_out, batch_m) = JobBuilder::new("batch")
-            .reduce_tasks(reducers)
-            .run(&input, |_| IdMap, |_| BatchSum);
-        let (stream_out, stream_m) = JobBuilder::new("stream")
-            .reduce_tasks(reducers)
-            .run(&input, |_| IdMap, |_| StreamSum);
+        let (batch_out, batch_m) = run_sum_job("batch", &input, reducers, |_| BatchSum);
+        let (stream_out, stream_m) = run_sum_job("stream", &input, reducers, |_| StreamSum);
         prop_assert_eq!(batch_out.partitions(), stream_out.partitions());
         prop_assert_eq!(batch_m.shuffle_records, stream_m.shuffle_records);
         prop_assert_eq!(batch_m.shuffle_bytes, stream_m.shuffle_bytes);
     }
+}
+
+/// Run `input` through [`IdMap`] and `reducer` as a one-stage plan;
+/// returns the stage's output and metrics.
+fn run_sum_job<R, FR>(
+    name: &str,
+    input: &Dataset<u32, u32>,
+    reduce_tasks: usize,
+    reducer: FR,
+) -> (Dataset<u32, u64>, JobMetrics)
+where
+    R: StreamingReducer<InKey = u32, InValue = u32, OutKey = u32, OutValue = u64> + 'static,
+    FR: Fn(usize) -> R + Send + Sync + 'static,
+{
+    let mut plan = Plan::new(name);
+    let h = plan.add(name, input.clone(), reduce_tasks, |_| IdMap, reducer);
+    let mut outcome = PlanRunner::pipelined().run(plan);
+    let out = outcome.take_output(h);
+    (out, outcome.metrics.jobs.remove(0))
 }
 
 /// Identity mapper over (u32, u32).

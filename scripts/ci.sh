@@ -46,6 +46,16 @@ if ! grep -q '^identical=true$' <<<"$chaos_a"; then
     printf '%s\n' "$chaos_a" >&2
     exit 1
 fi
+# Non-vacuous: the plan runner's worker loop is the engine's only retry
+# path, so the seeded run must actually inject failures and retry them.
+counter() { grep '^counters:' <<<"$chaos_a" | grep -oE " $1=[0-9]+" | cut -d= -f2; }
+chaos_retries="$(counter retries)"
+chaos_failures=$(( $(counter injected_errors) + $(counter injected_panics) ))
+if (( ${chaos_retries:-0} == 0 || chaos_failures == 0 )); then
+    echo "chaos gate FAILED: no injected failure was retried (vacuous run)" >&2
+    printf '%s\n' "$chaos_a" >&2
+    exit 1
+fi
 echo "$chaos_a" | sed 's/^/  /'
 
 echo "== smoke: shuffle determinism gate (workers 2 vs 7) =="
