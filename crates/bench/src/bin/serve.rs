@@ -19,7 +19,9 @@
 //! **Digest mode** runs a scaled-down replay (bench corpus) with a
 //! caller-chosen build worker count, including an insert/compaction
 //! interleave, and prints a canonical digest of every query's full result
-//! set plus the exact probe counters. Worker count parallelizes the index
+//! set plus the exact probe counters, then the digest of a fresh build
+//! over the whole corpus (`fresh-build:`), which must equal the compacted
+//! index's (`post-compaction:`). Worker count parallelizes the index
 //! *build* but must never change index content or probe answers — CI runs
 //! this binary across worker counts and diffs the output byte-for-byte.
 
@@ -183,6 +185,14 @@ fn run_digest(workers: usize) -> ExitCode {
         after.len(),
         digest(&after),
         index.delta_len()
+    );
+    // The compacted index must answer exactly like one built from scratch
+    // over every record (CI compares this line with the one above).
+    let (fresh, _) = probe_all_pairs(&build_index(&full, &serve_cfg(workers)), THETA);
+    println!(
+        "fresh-build: pairs={} digest={:#018x}",
+        fresh.len(),
+        digest(&fresh)
     );
     ExitCode::SUCCESS
 }

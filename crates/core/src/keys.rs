@@ -124,8 +124,7 @@ pub const SERVE_INSERTS: &str = "serve.insert.records";
 pub const SERVE_INSERT_TOKENS: &str = "serve.insert.tokens";
 /// Delta→main compactions executed (counter).
 pub const SERVE_COMPACTIONS: &str = "serve.compact.runs";
-/// Postings streamed through the loser-tree merge during compactions
-/// (counter).
+/// Delta postings moved into the main index by compactions (counter).
 pub const SERVE_COMPACT_POSTINGS: &str = "serve.compact.postings";
 /// Records currently servable: main arena + delta pool (gauge).
 pub const SERVE_RECORDS: &str = "serve.records";

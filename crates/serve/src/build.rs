@@ -6,11 +6,10 @@
 //! prefix (tokens resolved from the shared `Arc<TokenPool>`, distributed-
 //! cache style — no tokens travel through the shuffle); a streaming
 //! reducer seals each token group into a columnar [`PostingBlock`]. The
-//! partitioner is **token-range** (monotonic in rank), so concatenating
-//! the reduce partitions in task order yields ascending tokens — exactly
-//! the layout [`MainIndex`](crate::index) serves from, adopted by `Arc`
-//! via [`PlanOutcome::take_sealed`] without a materialize-then-reindex
-//! copy.
+//! partitioner is **token-range** (monotonic in rank), so every token
+//! lands in exactly one partition; [`MainIndex`](crate::index) serves the
+//! partitions as they are, adopted by `Arc` via
+//! [`PlanOutcome::take_sealed`] without a materialize-then-reindex copy.
 
 use std::sync::Arc;
 
@@ -28,8 +27,10 @@ use crate::posting::{Posting, PostingBlock};
 
 /// Monotonic token-range partition function shared by the build plan and
 /// compaction: rank `t` of a `universe`-token vocabulary goes to partition
-/// `t·parts/universe`. Monotonic in `t`, so partition concatenation is
-/// token-ascending.
+/// `t·parts/universe` (ranks past the vocabulary go to the last one).
+/// Right after a build, partition concatenation is token-ascending;
+/// compaction appends tokens main did not index to the end of their
+/// partition, so afterwards only the directory knows where a token sits.
 pub(crate) fn token_partition(t: TokenId, universe: usize, parts: usize) -> usize {
     debug_assert!(parts > 0);
     let u = universe.max(1) as u64;

@@ -5,13 +5,14 @@
 //! `theta_min` prefix is indexed into small per-token posting blocks kept
 //! in a hash map. Probes scan the delta block for each probe-prefix token
 //! right after the sealed main block, so fresh records are visible
-//! immediately. Compaction drains the whole structure into the main index
-//! via the loser-tree merge and clears it.
+//! immediately. Compaction consumes the whole structure
+//! ([`DeltaIndex::into_parts`]) and appends it to the main index in place.
 //!
 //! Record ids continue the main arena's dense numbering: a delta record's
 //! public id is `base + local`, where `base` is the main pool's length at
-//! insert time and `local` its slot in the delta pool. Compaction
-//! concatenates the pools, so public ids are stable across compactions.
+//! insert time and `local` its slot in the delta pool. Compaction appends
+//! the delta pool to the main arena, so public ids are stable across
+//! compactions.
 
 use ssj_common::FxHashMap;
 use ssj_similarity::Measure;
@@ -50,8 +51,7 @@ impl DeltaIndex {
         self.posting_count
     }
 
-    /// The delta token pool (compaction concatenates it onto the main
-    /// arena).
+    /// The delta token pool (compaction appends it to the main arena).
     pub(crate) fn pool(&self) -> &TokenPool {
         &self.pool
     }
@@ -102,30 +102,14 @@ impl DeltaIndex {
         Ok(rid)
     }
 
-    /// Largest token indexed, if any — compaction widens the directory to
-    /// cover tokens beyond the frozen vocabulary.
-    pub(crate) fn max_token(&self) -> Option<TokenId> {
-        self.postings.keys().copied().max()
-    }
-
-    /// All postings as token-ascending `(token, posting)` rows — one
-    /// sorted run for the compaction merge. Within a token, postings are
+    /// Consume the delta's postings for compaction (its pool has already
+    /// been appended): `(token, block)` entries ascending by token, and
+    /// the ascending record lengths. Within a block postings are
     /// record-ascending (insertion order is id order).
-    pub(crate) fn sorted_run(&self) -> Vec<(TokenId, Posting)> {
-        let mut keys: Vec<TokenId> = self.postings.keys().copied().collect();
-        keys.sort_unstable();
-        let mut run = Vec::with_capacity(self.posting_count);
-        for t in keys {
-            for p in self.postings[&t].iter() {
-                run.push((t, p));
-            }
-        }
-        run
-    }
-
-    /// Drop everything (post-compaction).
-    pub(crate) fn clear(&mut self) {
-        *self = DeltaIndex::default();
+    pub(crate) fn into_parts(self) -> (Vec<(TokenId, PostingBlock)>, Vec<u32>) {
+        let mut entries: Vec<(TokenId, PostingBlock)> = self.postings.into_iter().collect();
+        entries.sort_unstable_by_key(|e| e.0);
+        (entries, self.sorted_lens)
     }
 }
 
@@ -158,19 +142,25 @@ mod tests {
         assert_eq!((err.id, err.position), (42, 1));
         assert!(d.is_empty());
         assert_eq!(d.posting_count(), 0);
-        assert!(d.sorted_run().is_empty());
+        assert!(d.into_parts().0.is_empty());
     }
 
     #[test]
-    fn sorted_run_is_token_then_record_ascending() {
+    fn into_parts_is_token_then_record_ascending() {
         let mut d = DeltaIndex::new();
         d.insert(&[2, 8], 10, Measure::Jaccard, 0.5).unwrap();
         d.insert(&[2, 4], 10 + 1, Measure::Jaccard, 0.5).unwrap();
-        let run = d.sorted_run();
-        let keys: Vec<(TokenId, RecordId)> = run.iter().map(|(t, p)| (*t, p.rec)).collect();
+        d.insert(&[1, 9], 10 + 2, Measure::Jaccard, 0.5).unwrap();
+        let postings = d.posting_count();
+        let (entries, lens) = d.into_parts();
+        assert_eq!(lens, vec![2, 2, 2]);
+        let keys: Vec<(TokenId, RecordId)> = entries
+            .iter()
+            .flat_map(|(t, b)| b.recs.iter().map(move |&r| (*t, r)))
+            .collect();
+        assert_eq!(keys.len(), postings);
         let mut sorted = keys.clone();
         sorted.sort_unstable();
         assert_eq!(keys, sorted);
-        assert_eq!(d.max_token(), Some(keys.last().unwrap().0));
     }
 }

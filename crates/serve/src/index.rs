@@ -7,9 +7,9 @@
 //! The main index serves straight out of the build plan's sealed reduce
 //! partitions: each partition is an `Arc<Vec<(token, PostingBlock)>>`
 //! taken from the plan outcome without copying (`PlanOutcome::take_sealed`).
-//! Partitions are token-range partitioned, so their concatenation is
-//! token-ascending; a flat `directory` indexed by token rank packs
-//! `(partition, slot)` into a `u64` for O(1) posting lookup. Posting
+//! A flat `directory` indexed by token rank packs `(partition, slot)` into
+//! a `u64` for O(1) posting lookup, so nothing depends on the order of
+//! entries within or across partitions. Posting
 //! lists hold `(record, position, length)` columnar (see [`PostingBlock`]),
 //! covering each record's `theta_min` probe prefix.
 //!
@@ -44,17 +44,18 @@
 //! (out-of-vocabulary tokens may use any rank `≥ universe`; any consistent
 //! total order keeps prefix filtering sound). Probes scan the delta block
 //! right after the main block per token, so inserts are visible
-//! immediately. [`ServeIndex::compact`] merges both sides' postings with
-//! the loser-tree [`GroupedRuns`] merge, concatenates the token pools, and
-//! reseals — main record ids never change, delta ids are already offset
-//! past the main arena, so public ids are stable across compactions.
+//! immediately. [`ServeIndex::compact`] appends the delta in place, in
+//! O(delta): delta ids all exceed main ids, so each delta block extends
+//! its token's main block (or becomes a new entry), and the delta pool is
+//! appended to the main arena — copied once, on the first compaction,
+//! while the caller's `Collection` shares it. Public ids are stable.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use fsjoin::keys;
 use ssj_common::FxHashMap;
-use ssj_mapreduce::{GroupedRuns, PlanOutcome, StageHandle};
+use ssj_mapreduce::{PlanOutcome, StageHandle};
 use ssj_observe::{span, MetricsRegistry};
 use ssj_similarity::bitmap::overlap_upper_bound;
 use ssj_similarity::intersect::intersect_count_at_least;
@@ -63,7 +64,7 @@ use ssj_text::{MalformedRecord, RecordId, TokenId, TokenPool};
 
 use crate::config::ServeConfig;
 use crate::delta::DeltaIndex;
-use crate::posting::{expand, Posting, PostingBlock};
+use crate::posting::PostingBlock;
 use crate::stats::ProbeStats;
 
 /// Threshold comparisons tolerate the same slack as the measure kernels.
@@ -78,8 +79,8 @@ const EMPTY: u64 = u64::MAX;
 /// The sealed, immutable side of the index.
 #[derive(Debug)]
 pub(crate) struct MainIndex {
-    /// Sealed posting partitions, token-ascending across the
-    /// concatenation. Held by `Arc` exactly as the plan produced them.
+    /// Sealed posting partitions, held by `Arc` as the plan produced them
+    /// (token-ascending until a compaction appends new tokens).
     parts: Vec<Arc<Vec<(TokenId, PostingBlock)>>>,
     /// Token rank → packed `(partition << 32) | slot`, or [`EMPTY`].
     directory: Vec<u64>,
@@ -131,9 +132,38 @@ impl MainIndex {
         Some(&self.parts[p][s].1)
     }
 
-    /// All postings as token-ascending rows (compaction's main run).
-    pub(crate) fn iter_postings(&self) -> impl Iterator<Item = (TokenId, Posting)> + '_ {
-        self.parts.iter().flat_map(|p| expand(p.iter()))
+    /// Append a compacted delta in place: `entries` (ascending by token,
+    /// ids above every main id) extend their token's block or become new
+    /// partition entries; `lens` (ascending) merge into `sorted_lens`.
+    fn append(&mut self, entries: Vec<(TokenId, PostingBlock)>, lens: &[u32]) {
+        // Inserts may have minted ranks beyond the frozen vocabulary;
+        // widen the directory to cover them.
+        let universe = self.directory.len();
+        if let Some(&(max, _)) = entries.last() {
+            if max as usize >= universe {
+                self.directory.resize(max as usize + 1, EMPTY);
+            }
+        }
+        for (t, block) in entries {
+            self.postings += block.len();
+            match self.directory[t as usize] {
+                EMPTY => {
+                    let p = crate::build::token_partition(t, universe, self.parts.len());
+                    // Sealed partitions are owned outright: no copy here.
+                    let part = Arc::make_mut(&mut self.parts[p]);
+                    self.directory[t as usize] = ((p as u64) << 32) | part.len() as u64;
+                    part.push((t, block));
+                }
+                packed => {
+                    let (p, s) = ((packed >> 32) as usize, (packed & 0xffff_ffff) as usize);
+                    Arc::make_mut(&mut self.parts[p])[s].1.extend_from(&block);
+                }
+            }
+        }
+        // Both sides are ascending: the stable sort's run detection makes
+        // this a single linear two-run merge.
+        self.sorted_lens.extend_from_slice(lens);
+        self.sorted_lens.sort();
     }
 }
 
@@ -406,53 +436,28 @@ impl ServeIndex {
         Ok(rid)
     }
 
-    /// Merge the delta into the main index: loser-tree merge of the two
-    /// token-ascending posting runs, pool concatenation, reseal. No-op on
-    /// an empty delta. Record ids are stable across compaction.
+    /// Fold the delta into the main index in place, in O(delta) (see the
+    /// module docs). No-op on an empty delta. Record ids are stable across
+    /// compaction.
     pub fn compact(&mut self) {
         if self.delta.is_empty() {
             return;
         }
+        let moved = self.delta.posting_count();
         let _span = span("serve.stage", "compact")
             .field("delta_records", self.delta.len() as u64)
-            .field("delta_postings", self.delta.posting_count() as u64)
+            .field("delta_postings", moved as u64)
             .field("main_postings", self.main.postings as u64);
 
-        let mut main_run: Vec<(TokenId, Posting)> = Vec::with_capacity(self.main.postings);
-        main_run.extend(self.main.iter_postings());
-        let delta_run = self.delta.sorted_run();
-        let merged = main_run.len() + delta_run.len();
-
-        // Inserts may have minted ranks beyond the frozen vocabulary;
-        // widen the directory to cover them.
-        let universe = self
-            .main
-            .directory
-            .len()
-            .max(self.delta.max_token().map_or(0, |t| t as usize + 1));
-        let parts_n = self.cfg.build_partitions.max(1);
-        let mut new_parts: Vec<Vec<(TokenId, PostingBlock)>> =
-            (0..parts_n).map(|_| Vec::new()).collect();
-        GroupedRuns::new(vec![&main_run[..], &delta_run[..]]).for_each_group(|&t, values| {
-            // Run 0 (main) drains before run 1 (delta), and delta ids all
-            // exceed main ids — the block stays record-ascending.
-            let mut block = PostingBlock::default();
-            for p in values {
-                block.push(*p);
-            }
-            new_parts[crate::build::token_partition(t, universe, parts_n)].push((t, block));
-        });
-
-        let new_pool = Arc::new(TokenPool::concat(&self.pool, self.delta.pool()));
-        let parts: Vec<Arc<Vec<(TokenId, PostingBlock)>>> =
-            new_parts.into_iter().map(Arc::new).collect();
-        self.main = MainIndex::build(parts, universe, new_pool.lengths());
-        self.pool = new_pool;
-        self.delta.clear();
+        Arc::make_mut(&mut self.pool)
+            .try_append_pool(self.delta.pool())
+            .unwrap_or_else(|e| panic!("{e}"));
+        let (entries, lens) = std::mem::take(&mut self.delta).into_parts();
+        self.main.append(entries, &lens);
 
         self.registry.counter_add(keys::SERVE_COMPACTIONS, 1);
         self.registry
-            .counter_add(keys::SERVE_COMPACT_POSTINGS, merged as u64);
+            .counter_add(keys::SERVE_COMPACT_POSTINGS, moved as u64);
         self.refresh_gauges();
     }
 
@@ -511,6 +516,9 @@ fn scan_block(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::build::build_index;
+    use crate::posting::Posting;
+    use ssj_text::{encode, Collection, CorpusProfile, Record};
 
     #[test]
     fn window_count_is_inclusive_and_handles_empty_windows() {
@@ -546,7 +554,134 @@ mod tests {
         assert_eq!(main.postings_of(4), Some(&b1));
         assert!(main.postings_of(1).is_none(), "unindexed token");
         assert!(main.postings_of(99).is_none(), "out-of-directory token");
-        let rows: Vec<(u32, RecordId)> = main.iter_postings().map(|(t, p)| (t, p.rec)).collect();
-        assert_eq!(rows, vec![(0, 0), (4, 1)]);
+    }
+
+    fn cfg() -> ServeConfig {
+        ServeConfig::default()
+            .with_theta_min(0.7)
+            .with_partitions(3)
+            .with_workers(2)
+    }
+
+    /// `records` as a collection over `freqs`' rank space.
+    fn collection_of(records: &[Vec<TokenId>], freqs: Vec<u64>) -> Collection {
+        let records = records
+            .iter()
+            .enumerate()
+            .map(|(rid, t)| Record::from_sorted(rid as RecordId, t.clone()))
+            .collect();
+        Collection::new(records, freqs, None)
+    }
+
+    #[test]
+    fn compaction_appends_to_the_layout_a_fresh_build_makes() {
+        let full = encode(
+            &CorpusProfile::WikiLike
+                .config()
+                .with_records(400)
+                .generate(),
+        );
+        let universe = full.token_freqs.len() as TokenId;
+        let base = 300;
+        let mut records: Vec<Vec<TokenId>> = (0..full.len() as RecordId)
+            .map(|r| full.tokens(r).to_vec())
+            .collect();
+        let mut index = build_index(
+            &collection_of(&records[..base], full.token_freqs.clone()),
+            &cfg(),
+        );
+
+        // In-vocabulary tokens main never indexed, each put at position 0
+        // of an insert so it lands in that record's indexed prefix.
+        let unindexed: Vec<TokenId> = (0..universe)
+            .filter(|&t| index.main.postings_of(t).is_none())
+            .take(3)
+            .collect();
+        assert_eq!(unindexed.len(), 3, "corpus indexes every token");
+        for &u in &unindexed {
+            let mut r = vec![u];
+            r.extend(records[7].iter().filter(|&&t| t > u));
+            records.push(r);
+        }
+        // Out-of-vocabulary ranks, alone and after in-vocabulary tokens.
+        records.push(vec![universe + 3, universe + 7]);
+        let mut mixed = records[11].clone();
+        mixed.extend([universe + 7, universe + 9]);
+        records.push(mixed);
+        records.push(vec![universe + 12]);
+
+        let mid = base + (records.len() - base) / 2;
+        for (i, r) in records.iter().enumerate().skip(base) {
+            assert_eq!(index.insert(r).unwrap(), i as RecordId);
+            if i + 1 == mid {
+                index.compact();
+            }
+        }
+        index.compact();
+        assert_eq!(index.delta_len(), 0);
+
+        let mut freqs = full.token_freqs.clone();
+        freqs.resize(universe as usize + 13, 0);
+        let fresh = build_index(&collection_of(&records, freqs), &cfg());
+        assert!(index.main.directory.len() <= fresh.main.directory.len());
+        for t in 0..fresh.main.directory.len() as TokenId + 2 {
+            assert_eq!(
+                index.main.postings_of(t),
+                fresh.main.postings_of(t),
+                "token {t}"
+            );
+        }
+        for &u in &unindexed {
+            assert!(
+                index.main.postings_of(u).is_some(),
+                "unindexed token {u} appended"
+            );
+        }
+        assert_eq!(index.main.sorted_lens, fresh.main.sorted_lens);
+        assert_eq!(index.main.postings, fresh.main.postings);
+        assert_eq!(index.len(), records.len());
+        for rec in 0..records.len() as RecordId {
+            assert_eq!(index.tokens_of(rec), fresh.tokens_of(rec), "record {rec}");
+            assert_eq!(index.bitmap_of(rec), fresh.bitmap_of(rec), "record {rec}");
+        }
+    }
+
+    #[test]
+    fn compaction_copies_a_shared_pool_instead_of_writing_through() {
+        let full = encode(
+            &CorpusProfile::WikiLike
+                .config()
+                .with_records(240)
+                .generate(),
+        );
+        let collection = collection_of(
+            &(0..200)
+                .map(|r| full.tokens(r).to_vec())
+                .collect::<Vec<_>>(),
+            full.token_freqs.clone(),
+        );
+        let before = collection.pool().clone();
+        let answers = |index: &ServeIndex| -> Vec<Vec<(RecordId, f64)>> {
+            (0..collection.len() as RecordId)
+                .map(|r| index.probe(collection.tokens(r), 0.8))
+                .collect()
+        };
+        let other = build_index(&collection, &cfg());
+        let expected = answers(&other);
+
+        let mut index = build_index(&collection, &cfg());
+        for r in 200..full.len() as RecordId {
+            index.insert(full.tokens(r)).unwrap();
+        }
+        index.compact();
+        assert_eq!(index.len(), full.len());
+
+        assert_eq!(collection.len(), before.len());
+        for r in 0..before.len() as RecordId {
+            assert_eq!(collection.tokens(r), before.tokens_of(r), "record {r}");
+        }
+        assert_eq!(collection.pool(), &before);
+        assert_eq!(answers(&other), expected);
+        assert_eq!(answers(&build_index(&collection, &cfg())), expected);
     }
 }

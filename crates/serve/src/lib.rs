@@ -22,8 +22,8 @@
 //!
 //! Freshness comes from a delta side: [`ServeIndex::insert`] tokenizes
 //! against the frozen global ordering into a private delta pool, visible
-//! to the very next probe; [`ServeIndex::compact`] folds the delta into
-//! the sealed main index with the engine's loser-tree merge.
+//! to the very next probe; [`ServeIndex::compact`] appends the delta's
+//! postings and records to the main index in place, in O(delta).
 //!
 //! ```
 //! use ssj_serve::{build_index, ServeConfig};

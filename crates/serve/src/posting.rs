@@ -18,7 +18,7 @@
 //! serves straight out of the sealed partitions.
 
 use ssj_common::ByteSize;
-use ssj_text::{RecordId, TokenId};
+use ssj_text::RecordId;
 
 /// One posting: `(record, position, length)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -92,6 +92,13 @@ impl PostingBlock {
         }
     }
 
+    /// Append `other`'s postings (compaction: their ids exceed ours).
+    pub fn extend_from(&mut self, other: &PostingBlock) {
+        self.recs.extend_from_slice(&other.recs);
+        self.poss.extend_from_slice(&other.poss);
+        self.lens.extend_from_slice(&other.lens);
+    }
+
     /// Iterate the postings in storage order.
     pub fn iter(&self) -> impl Iterator<Item = Posting> + '_ {
         (0..self.len()).map(move |i| self.get(i))
@@ -105,14 +112,6 @@ impl ByteSize for PostingBlock {
     fn byte_size(&self) -> usize {
         self.recs.byte_size() + self.poss.byte_size() + self.lens.byte_size()
     }
-}
-
-/// Flatten a `(token, block)` sequence into `(token, posting)` rows —
-/// the run shape the compaction merge consumes.
-pub(crate) fn expand<'a>(
-    entries: impl Iterator<Item = &'a (TokenId, PostingBlock)> + 'a,
-) -> impl Iterator<Item = (TokenId, Posting)> + 'a {
-    entries.flat_map(|(t, block)| block.iter().map(move |p| (*t, p)))
 }
 
 #[cfg(test)]
@@ -138,6 +137,12 @@ mod tests {
         assert_eq!(b.len(), 2);
         assert_eq!(b.get(0), p0);
         assert_eq!(b.iter().collect::<Vec<_>>(), vec![p0, p1]);
+        let mut c = PostingBlock::default();
+        c.push(p0);
+        let mut tail = PostingBlock::default();
+        tail.push(p1);
+        c.extend_from(&tail);
+        assert_eq!(c, b);
     }
 
     #[test]
@@ -159,29 +164,5 @@ mod tests {
             .byte_size(),
             12
         );
-    }
-
-    #[test]
-    fn expand_flattens_in_order() {
-        let mut a = PostingBlock::default();
-        a.push(Posting {
-            rec: 1,
-            pos: 0,
-            len: 3,
-        });
-        a.push(Posting {
-            rec: 4,
-            pos: 1,
-            len: 5,
-        });
-        let mut b = PostingBlock::default();
-        b.push(Posting {
-            rec: 2,
-            pos: 0,
-            len: 2,
-        });
-        let entries = [(10u32, a), (11u32, b)];
-        let rows: Vec<(u32, u32)> = expand(entries.iter()).map(|(t, p)| (t, p.rec)).collect();
-        assert_eq!(rows, vec![(10, 1), (10, 4), (11, 2)]);
     }
 }

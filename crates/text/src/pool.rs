@@ -298,35 +298,60 @@ impl TokenPool {
     /// Width is fixed at construction ([`TokenPool::with_bitmap_bits`]),
     /// so a mismatch is a construction bug, not a data condition.
     pub fn try_concat(a: &TokenPool, b: &TokenPool) -> Result<TokenPool, PoolOverflow> {
+        a.check_append(b)?;
+        let mut out = TokenPool {
+            tokens: Vec::with_capacity(a.tokens.len() + b.tokens.len()),
+            offsets: Vec::with_capacity(a.offsets.len() + b.offsets.len() - 1),
+            bitmaps: Vec::with_capacity(a.bitmaps.len() + b.bitmaps.len()),
+            bitmap_words: a.bitmap_words,
+        };
+        out.offsets.push(0);
+        out.extend_planes(a);
+        out.extend_planes(b);
+        Ok(out)
+    }
+
+    /// In-place [`TokenPool::try_concat`]: append `other`'s records to this
+    /// pool (ids shifted by `self.len()`, offsets by `self.total_tokens()`,
+    /// bitmaps copied alongside). Costs O(`other`) amortized — this pool's
+    /// planes grow, they are not rebuilt. On error the pool is unchanged.
+    ///
+    /// # Panics
+    /// Panics when the pools' bitmap widths differ, as `try_concat` does.
+    pub fn try_append_pool(&mut self, other: &TokenPool) -> Result<(), PoolOverflow> {
+        self.check_append(other)?;
+        self.extend_planes(other);
+        Ok(())
+    }
+
+    /// The checks shared by [`TokenPool::try_concat`] and
+    /// [`TokenPool::try_append_pool`]: equal bitmap widths (asserted) and
+    /// a combined token count inside the `u32` offset space.
+    fn check_append(&self, other: &TokenPool) -> Result<(), PoolOverflow> {
         assert_eq!(
-            a.bitmap_words, b.bitmap_words,
+            self.bitmap_words, other.bitmap_words,
             "cannot concat token pools with different bitmap widths"
         );
         let (&a_total, &b_total) = (
-            a.offsets.last().expect("offsets table is never empty"),
-            b.offsets.last().expect("offsets table is never empty"),
+            self.offsets.last().expect("offsets table is never empty"),
+            other.offsets.last().expect("offsets table is never empty"),
         );
-        if a_total.checked_add(b_total).is_none() {
-            return Err(PoolOverflow {
+        match a_total.checked_add(b_total) {
+            Some(_) => Ok(()),
+            None => Err(PoolOverflow {
                 combined_tokens: a_total as u64 + b_total as u64,
-            });
+            }),
         }
-        let mut tokens = Vec::with_capacity(a.tokens.len() + b.tokens.len());
-        tokens.extend_from_slice(&a.tokens);
-        tokens.extend_from_slice(&b.tokens);
-        let shift = a.tokens.len() as u32;
-        let mut offsets = Vec::with_capacity(a.offsets.len() + b.offsets.len() - 1);
-        offsets.extend_from_slice(&a.offsets);
-        offsets.extend(b.offsets[1..].iter().map(|&o| o + shift));
-        let mut bitmaps = Vec::with_capacity(a.bitmaps.len() + b.bitmaps.len());
-        bitmaps.extend_from_slice(&a.bitmaps);
-        bitmaps.extend_from_slice(&b.bitmaps);
-        Ok(TokenPool {
-            tokens,
-            offsets,
-            bitmaps,
-            bitmap_words: a.bitmap_words,
-        })
+    }
+
+    /// Copy `other`'s three planes onto the end of this pool's (checks
+    /// already done by [`TokenPool::check_append`]).
+    fn extend_planes(&mut self, other: &TokenPool) {
+        let shift = self.tokens.len() as u32;
+        self.tokens.extend_from_slice(&other.tokens);
+        self.offsets
+            .extend(other.offsets[1..].iter().map(|&o| o + shift));
+        self.bitmaps.extend_from_slice(&other.bitmaps);
     }
 }
 
@@ -561,6 +586,40 @@ mod tests {
             bitmap_words: (DEFAULT_BITMAP_BITS / 64) as u32,
         };
         assert!(TokenPool::try_concat(&max_minus_one, &b).is_ok());
+    }
+
+    #[test]
+    fn append_pool_matches_concat_and_fails_clean() {
+        let mut a = TokenPool::new();
+        a.push(&[1, 2]);
+        a.push(&[]);
+        let mut b = TokenPool::new();
+        b.push(&[4, 5, 6]);
+        b.push(&[9]);
+        let mut grown = a.clone();
+        grown.try_append_pool(&b).unwrap();
+        assert_eq!(grown, TokenPool::concat(&a, &b));
+        assert_eq!(grown.bitmap_of(2), b.bitmap_of(0));
+        grown.try_append_pool(&TokenPool::new()).unwrap();
+        assert_eq!(grown, TokenPool::concat(&a, &b));
+
+        let mut huge = TokenPool {
+            tokens: Vec::new(),
+            offsets: vec![0, u32::MAX],
+            bitmaps: vec![0; DEFAULT_BITMAP_BITS / 64],
+            bitmap_words: (DEFAULT_BITMAP_BITS / 64) as u32,
+        };
+        let untouched = huge.clone();
+        let err = huge.try_append_pool(&b).unwrap_err();
+        assert_eq!(err.combined_tokens, u32::MAX as u64 + 4);
+        assert_eq!(huge, untouched);
+    }
+
+    #[test]
+    #[should_panic(expected = "different bitmap widths")]
+    fn append_pool_rejects_width_mismatch() {
+        let mut a = TokenPool::with_bitmap_bits(64).unwrap();
+        let _ = a.try_append_pool(&TokenPool::with_bitmap_bits(128).unwrap());
     }
 
     #[test]

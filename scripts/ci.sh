@@ -232,12 +232,20 @@ echo "== smoke: serve replay determinism gate (build workers 2 vs 7) =="
 # answers must not depend on it. Replay every record (including an
 # insert/compaction interleave) under both worker counts and require
 # byte-identical reports: result digest, probe-cascade counters, index
-# shape, and the post-compaction digest.
+# shape, and the post-compaction and fresh-build digests.
 serve_a="$(cargo run --release -p ssj-bench --bin ssj-serve -- --digest --workers 2 2>/dev/null)"
 serve_b="$(cargo run --release -p ssj-bench --bin ssj-serve -- --digest --workers 7 2>/dev/null)"
 if [[ "$serve_a" != "$serve_b" ]]; then
     echo "serve gate FAILED: build worker count changed the replay report" >&2
     diff <(printf '%s\n' "$serve_a") <(printf '%s\n' "$serve_b") >&2 || true
+    exit 1
+fi
+# Compaction appends the delta in place; the compacted index must answer
+# exactly like a fresh build over every record.
+serve_compacted="$(sed -nE 's/^post-compaction: (pairs=[0-9]+ digest=0x[0-9a-f]+).*/\1/p' <<<"$serve_a")"
+serve_fresh="$(sed -nE 's/^fresh-build: (pairs=[0-9]+ digest=0x[0-9a-f]+)$/\1/p' <<<"$serve_a")"
+if [[ -z "$serve_fresh" || "$serve_compacted" != "$serve_fresh" ]]; then
+    echo "serve gate FAILED: compacted index ($serve_compacted) differs from a fresh build ($serve_fresh)" >&2
     exit 1
 fi
 echo "$serve_a" | sed 's/^/  /'
