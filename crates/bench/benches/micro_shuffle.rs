@@ -10,11 +10,14 @@
 //! its growth). The same counter guards the map-side combine path: a
 //! fold-style [`Combiner::combine_into`] override (what [`SumCombiner`]
 //! ships) must not allocate per key, while a combiner that only implements
-//! the batch `combine` pays the default adapter's per-key `Vec`. Numbers
-//! are recorded in `results/shuffle.md`.
+//! the batch `combine` pays the default adapter's per-key `Vec`. A third
+//! group times the map-side bucket sort on the verification job's bucket
+//! shape: the stable radix sort [`sort_bucket`] uses for packed keys
+//! against `sort_by` and `sort_unstable_by`. Numbers are recorded in
+//! `results/shuffle.md`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use ssj_mapreduce::{Combiner, GroupedRuns, KWayMerge, SumCombiner};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use ssj_mapreduce::{sort_bucket, Combiner, GroupedRuns, KWayMerge, SumCombiner};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -311,5 +314,77 @@ fn bench_grouped_paths(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_merge_vs_resort, bench_grouped_paths);
+/// A verification-job shuffle record: `((rid_a, rid_b), (common, len_a, len_b))`.
+type VerifyRecord = ((u32, u32), (u32, u32, u32));
+
+/// One verification-job map bucket: `n` candidate records
+/// `((rid_a, rid_b), (common, len_a, len_b))` over a 10,000-record
+/// corpus, in emission order. Pairs repeat (one record per shared cell),
+/// so equal keys are common.
+fn make_verify_bucket(n: usize, seed: u64) -> Vec<VerifyRecord> {
+    let mut state = seed;
+    (0..n)
+        .map(|_| {
+            let r = splitmix64(&mut state);
+            // A pair drawn from a pool of n/3 distinct pairs.
+            let p = (r % (n as u64 / 3)).wrapping_mul(0x9E37_79B9) % 50_000_000;
+            let (a, b) = ((p / 10_000) as u32 % 10_000, (p % 10_000) as u32);
+            let key = (a.min(b), a.max(b));
+            (
+                key,
+                ((r >> 40) as u32 % 8 + 1, 20 + key.0 % 60, 20 + key.1 % 60),
+            )
+        })
+        .collect()
+}
+
+fn bench_bucket_sort(c: &mut Criterion) {
+    let bucket = make_verify_bucket(170_000, 5);
+    let mut radix = bucket.clone();
+    sort_bucket(&mut radix, &mut Vec::new(), true);
+    let mut stable = bucket.clone();
+    stable.sort_by_key(|a| a.0);
+    assert!(radix == stable, "radix sort must equal the stable sort");
+    let mut g = c.benchmark_group("bucket_sort_verify_170k");
+    g.sample_size(15);
+    let mut scratch = Vec::new();
+    g.bench_function("radix", |bench| {
+        bench.iter_batched(
+            || bucket.clone(),
+            |mut v| {
+                sort_bucket(&mut v, &mut scratch, true);
+                v[v.len() / 2].0
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    g.bench_function("sort_by_key", |bench| {
+        bench.iter_batched(
+            || bucket.clone(),
+            |mut v| {
+                v.sort_by_key(|a| a.0);
+                v[v.len() / 2].0
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    g.bench_function("sort_unstable_by_key", |bench| {
+        bench.iter_batched(
+            || bucket.clone(),
+            |mut v| {
+                v.sort_unstable_by_key(|a| a.0);
+                v[v.len() / 2].0
+            },
+            BatchSize::LargeInput,
+        )
+    });
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_merge_vs_resort,
+    bench_grouped_paths,
+    bench_bucket_sort
+);
 criterion_main!(benches);

@@ -7,12 +7,13 @@
 //! ```
 //!
 //! Each probe runs a deterministic workload (fixed synthetic corpus,
-//! fixed θ), measures wall time as the **min of five** runs normalized
-//! by [`calibrate_unit_secs`] (machine-portable units), and captures the
-//! workload's logical counters exactly. `--check` compares a fresh run
-//! against the committed baselines with [`DEFAULT_WALL_TOLERANCE`] noise
-//! headroom on wall units and zero tolerance on logical counters; see
-//! `crates/bench/src/regress.rs` for the policy.
+//! fixed θ), measures wall time as the **min of [`TRIALS`]** (five) runs
+//! normalized by [`calibrate_unit_secs`] (machine-portable units), and
+//! captures the workload's logical counters exactly. `--check` compares a
+//! fresh run against the committed baselines with
+//! [`DEFAULT_WALL_TOLERANCE`] noise headroom on wall units and zero
+//! tolerance on logical counters; see `crates/bench/src/regress.rs` for
+//! the policy.
 //!
 //! `--handicap F` multiplies the measured wall units by `F` — CI uses
 //! `--handicap 2.0` to prove the gate actually trips on a 2× slowdown.
@@ -145,6 +146,9 @@ type ProbeFn = fn(&Collection) -> FsJoinResult;
 
 /// The probe workloads: (name, runner). Both join the deterministic
 /// WikiLike corpus at θ = 0.8 with default FS-Join tuning.
+/// Timed runs per probe; the reported wall time is their minimum.
+const TRIALS: usize = 5;
+
 const PROBES: &[(&str, ProbeFn)] = &[
     ("fsjoin_wiki", |c| {
         fsjoin::run_self_join(c, &FsJoinConfig::default().with_theta(0.8))
@@ -154,7 +158,7 @@ const PROBES: &[(&str, ProbeFn)] = &[
     }),
 ];
 
-/// Run one probe: min-of-five wall time (normalized and handicapped)
+/// Run one probe: min-of-[`TRIALS`] wall time (normalized and handicapped)
 /// plus the logical counters of the final run (seeded ⇒ identical across
 /// runs).
 fn measure(
@@ -166,13 +170,13 @@ fn measure(
 ) -> BenchReport {
     let mut best = f64::INFINITY;
     let mut last = None;
-    for _ in 0..5 {
+    for _ in 0..TRIALS {
         let start = Instant::now();
         let res = run(corpus);
         best = best.min(start.elapsed().as_secs_f64());
         last = Some(res);
     }
-    let res = last.expect("three runs");
+    let res = last.expect("TRIALS > 0 timed runs");
     let mut counters: Vec<(String, f64)> = res
         .filter_stats
         .fields()
@@ -212,13 +216,13 @@ fn measure_rsjoin(unit_secs: f64, handicap: f64) -> BenchReport {
     let cfg = FsJoinConfig::default().with_theta(0.8);
     let mut best = f64::INFINITY;
     let mut last = None;
-    for _ in 0..5 {
+    for _ in 0..TRIALS {
         let start = Instant::now();
         let res = fsjoin::run_rs_join_two_input(&r, &s, &cfg);
         best = best.min(start.elapsed().as_secs_f64());
         last = Some(res);
     }
-    let res = last.expect("five runs");
+    let res = last.expect("TRIALS > 0 timed runs");
 
     // The path the co-group stage replaced: identity-rekey fan-in with a
     // second shuffle (untimed — kept for the A/B shuffle accounting and
@@ -329,7 +333,7 @@ fn measure_serve(corpus: &Collection, unit_secs: f64, handicap: f64) -> BenchRep
     let mut best = f64::INFINITY;
     let mut last = ProbeStats::default();
     let mut hits = 0u64;
-    for _ in 0..5 {
+    for _ in 0..TRIALS {
         let mut stats = ProbeStats::default();
         hits = 0;
         let start = Instant::now();

@@ -220,7 +220,22 @@ impl PairBounds {
         head_t: u32,
         tail_t: u32,
     ) -> Self {
-        let alpha = measure.min_overlap(theta, len_s as usize, len_t as usize) as i64;
+        let alpha = measure.min_overlap(theta, len_s as usize, len_t as usize);
+        Self::with_alpha(alpha, len_s, head_s, tail_s, len_t, head_t, tail_t)
+    }
+
+    /// [`Self::new`] given `alpha = measure.min_overlap(θ, |s|, |t|)`, for
+    /// callers that tabulate the overlap bound.
+    pub(crate) fn with_alpha(
+        alpha: usize,
+        len_s: u32,
+        head_s: u32,
+        tail_s: u32,
+        len_t: u32,
+        head_t: u32,
+        tail_t: u32,
+    ) -> Self {
+        let alpha = alpha as i64;
         let required_local = alpha - i64::from(head_s.min(head_t)) - i64::from(tail_s.min(tail_t));
         let max_total_diff = i64::from(len_s) + i64::from(len_t) - 2 * alpha;
         let max_local_diff = max_total_diff

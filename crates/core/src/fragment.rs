@@ -19,8 +19,8 @@
 //! flat arena — contiguous, cache-friendly, and allocation-free).
 
 use crate::filters::{
-    segd_pass, segd_pass_precheck, segi_pass, segl_pass, strl_pass, EmitPolicy, FilterSet,
-    FilterStats, PairBounds,
+    segd_pass, segd_pass_precheck, segi_pass, segl_pass, EmitPolicy, FilterSet, FilterStats,
+    PairBounds,
 };
 use crate::horizontal::JoinRule;
 use crate::segment::Segment;
@@ -131,17 +131,24 @@ pub fn join_fragment(
     bitmap: bool,
     stats: &mut FilterStats,
 ) -> Vec<CandidateRecord> {
+    let max_len = segments.iter().map(|s| s.len).max().unwrap_or(0);
+    let cascade = Cascade::new(
+        pool, max_len, scope, measure, theta, filters, policy, bitmap,
+    );
+    let mut out = Vec::new();
     match rule {
         JoinRule::All => match kernel {
-            JoinKernel::Loop => loop_join(
-                pool, segments, scope, measure, theta, filters, policy, bitmap, stats,
-            ),
-            JoinKernel::Index => index_join(
-                pool, segments, scope, measure, theta, filters, policy, stats,
-            ),
-            JoinKernel::Prefix => prefix_join(
-                pool, segments, scope, measure, theta, filters, policy, bitmap, stats,
-            ),
+            JoinKernel::Loop => {
+                for (i, a) in segments.iter().enumerate() {
+                    for b in &segments[i + 1..] {
+                        cascade.pair(a, b, None, stats, &mut out);
+                    }
+                }
+            }
+            JoinKernel::Index | JoinKernel::Prefix => {
+                let all: Vec<&Segment> = segments.iter().collect();
+                indexed_join(&cascade, &all, None, kernel, stats, &mut out);
+            }
         },
         JoinRule::Boundary { lo, pivot } => {
             let mut short: Vec<&Segment> = Vec::new();
@@ -154,11 +161,21 @@ pub fn join_fragment(
                 }
                 // Segments below `lo` can never satisfy the boundary rule.
             }
-            bipartite_join(
-                pool, &short, &long, scope, measure, theta, kernel, filters, policy, bitmap, stats,
-            )
+            if short.is_empty() || long.is_empty() {
+                return out;
+            }
+            if kernel == JoinKernel::Loop {
+                for a in &short {
+                    for b in &long {
+                        cascade.pair(a, b, None, stats, &mut out);
+                    }
+                }
+            } else {
+                indexed_join(&cascade, &short, Some(&long), kernel, stats, &mut out);
+            }
         }
     }
+    out
 }
 
 /// Pair admissibility within a group layout (scope only; the horizontal
@@ -171,55 +188,159 @@ fn admissible(a: &Segment, b: &Segment, scope: PairScope) -> bool {
     }
 }
 
-/// Run the filter pipeline on a pair whose local overlap is already known;
-/// returns the candidate record if it survives.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn finish_pair(
-    a: &Segment,
-    b: &Segment,
-    overlap: usize,
+/// The filter cascade every kernel runs its pairs through, set up once
+/// per cell. The two θ-bounds a pair needs — StrL's `min_partner_len` by
+/// the longer length and the `min_overlap` behind [`PairBounds`] — are
+/// tabulated from the [`Measure`] functions themselves, so every value is
+/// identical by construction and a pair pays two table reads instead of
+/// two floating-point `ceil`s. Jaccard and Dice `min_overlap` depend on
+/// `len_a + len_b` only; Cosine's depends on the product and keeps the
+/// direct call.
+struct Cascade<'p> {
+    pool: &'p TokenPool,
+    scope: PairScope,
     measure: Measure,
     theta: f64,
     filters: FilterSet,
     policy: EmitPolicy,
-    stats: &mut FilterStats,
-) -> Option<CandidateRecord> {
-    let bounds = PairBounds::new(measure, theta, a.len, a.head, a.tail, b.len, b.head, b.tail);
-    if filters.segi && !segi_pass(&bounds, overlap) {
-        stats.segi_pruned += 1;
-        return None;
+    bitmap: bool,
+    /// `min_partner_len(θ, len)` for `len ≤ max_len`.
+    partner: Vec<usize>,
+    /// `min_overlap(θ, a, b)` by `a + b ≤ 2·max_len`; empty for Cosine.
+    overlap: Vec<usize>,
+}
+
+impl<'p> Cascade<'p> {
+    #[allow(clippy::too_many_arguments)]
+    fn new(
+        pool: &'p TokenPool,
+        max_len: u32,
+        scope: PairScope,
+        measure: Measure,
+        theta: f64,
+        filters: FilterSet,
+        policy: EmitPolicy,
+        bitmap: bool,
+    ) -> Self {
+        let max_len = max_len as usize;
+        let partner = (0..=max_len)
+            .map(|l| measure.min_partner_len(theta, l))
+            .collect();
+        let overlap = match measure {
+            Measure::Cosine => Vec::new(),
+            _ => (0..=2 * max_len)
+                .map(|sum| measure.min_overlap(theta, sum, 0))
+                .collect(),
+        };
+        Cascade {
+            pool,
+            scope,
+            measure,
+            theta,
+            filters,
+            policy,
+            bitmap,
+            partner,
+            overlap,
+        }
     }
-    if filters.segd && !segd_pass(&bounds, a.seg_len(), b.seg_len(), overlap) {
-        stats.segd_pruned += 1;
-        return None;
+
+    /// `measure.min_overlap(θ, len_a, len_b)`.
+    #[inline]
+    fn min_overlap(&self, len_a: u32, len_b: u32) -> usize {
+        match self.overlap.get(len_a as usize + len_b as usize) {
+            Some(&alpha) => alpha,
+            None => self
+                .measure
+                .min_overlap(self.theta, len_a as usize, len_b as usize),
+        }
     }
-    if overlap == 0 {
-        // Nothing to contribute to the verification sum.
-        return None;
+
+    /// StrL-Filter (Lemma 1), as [`crate::filters::strl_pass`].
+    #[inline]
+    fn strl_pass(&self, len_a: u32, len_b: u32) -> bool {
+        len_a.min(len_b) as usize >= self.partner[len_a.max(len_b) as usize]
     }
-    if policy == EmitPolicy::PositiveBoundOnly && bounds.required_local < 1 {
-        // Paper-magnitude mode: drop contributions no lemma can demand.
-        // NOT exact — see EmitPolicy docs.
-        stats.policy_dropped += 1;
-        return None;
+
+    /// Run one pair through the cascade and push its candidate record if
+    /// it survives. `counted` is the local overlap when the kernel already
+    /// accumulated it (the Index kernels: no SegD precheck, no bitmap
+    /// step, no intersection); `None` intersects the segments exactly
+    /// after the pre-intersection filters.
+    #[inline]
+    fn pair(
+        &self,
+        a: &Segment,
+        b: &Segment,
+        counted: Option<usize>,
+        stats: &mut FilterStats,
+        out: &mut Vec<CandidateRecord>,
+    ) {
+        if !admissible(a, b, self.scope) {
+            return;
+        }
+        let filters = self.filters;
+        stats.pairs_considered += 1;
+        if filters.strl && !self.strl_pass(a.len, b.len) {
+            stats.strl_pruned += 1;
+            return;
+        }
+        let alpha = self.min_overlap(a.len, b.len);
+        let bounds = PairBounds::with_alpha(alpha, a.len, a.head, a.tail, b.len, b.head, b.tail);
+        let (seg_a, seg_b) = (a.seg_len(), b.seg_len());
+        if filters.segl && !segl_pass(&bounds, seg_a, seg_b) {
+            stats.segl_pruned += 1;
+            return;
+        }
+        let overlap = match counted {
+            Some(c) => c,
+            None => {
+                if filters.segd && !segd_pass_precheck(&bounds, seg_a, seg_b) {
+                    stats.segd_pruned += 1;
+                    return;
+                }
+                if self.bitmap && bitmap_settles(self.pool, a, b, &bounds, filters, stats) {
+                    return;
+                }
+                stats.count_intersection(seg_a, seg_b);
+                intersect_count_adaptive(a.tokens(self.pool), b.tokens(self.pool))
+            }
+        };
+        if filters.segi && !segi_pass(&bounds, overlap) {
+            stats.segi_pruned += 1;
+            return;
+        }
+        if filters.segd && !segd_pass(&bounds, seg_a, seg_b, overlap) {
+            stats.segd_pruned += 1;
+            return;
+        }
+        if overlap == 0 {
+            // Nothing to contribute to the verification sum.
+            return;
+        }
+        if self.policy == EmitPolicy::PositiveBoundOnly && bounds.required_local < 1 {
+            // Paper-magnitude mode: drop contributions no lemma can demand.
+            // NOT exact — see EmitPolicy docs.
+            stats.policy_dropped += 1;
+            return;
+        }
+        stats.emitted += 1;
+        let (x, y) = if a.rid < b.rid { (a, b) } else { (b, a) };
+        out.push(CandidateRecord {
+            rid_a: x.rid,
+            rid_b: y.rid,
+            common: overlap as u32,
+            len_a: x.len,
+            len_b: y.len,
+        });
     }
-    stats.emitted += 1;
-    let (x, y) = if a.rid < b.rid { (a, b) } else { (b, a) };
-    Some(CandidateRecord {
-        rid_a: x.rid,
-        rid_b: y.rid,
-        common: overlap as u32,
-        len_a: x.len,
-        len_b: y.len,
-    })
 }
 
 /// Consult the two records' hashed bitmaps before paying for an exact
 /// segment intersection. Returns `true` when the bitmap verdict settles
 /// the pair — counters are then updated exactly as the exact path would
-/// have, and the caller skips intersection and `finish_pair` entirely.
-/// Returns `false` when the exact intersection must run.
+/// have, and the caller skips the intersection and the post-intersection
+/// filters entirely. Returns `false` when the exact intersection must run.
 ///
 /// Soundness: a segment is a subset of its record, so the record-level
 /// overlap upper bound also bounds the *local* (segment) overlap. Two
@@ -227,12 +348,12 @@ fn finish_pair(
 /// `columnar_equivalence` goldens stays bit-identical to the no-prune run:
 ///
 /// * **zero rule** — a bound of 0 proves the local overlap is exactly 0;
-///   emulate `finish_pair(overlap = 0)` verbatim: SegI verdict first,
-///   then SegD at overlap 0, else the silent zero-overlap drop.
+///   emulate the post-intersection filters at overlap 0 verbatim: SegI
+///   verdict first, then SegD, else the silent zero-overlap drop.
 /// * **SegI rule** — with SegI on and `required_local ≥ 1`, a bound below
 ///   `required_local` proves the exact path would take the SegI branch
-///   (local overlap ≤ record overlap ≤ bound < required), and
-///   `finish_pair` checks SegI before everything else.
+///   (local overlap ≤ record overlap ≤ bound < required), and the cascade
+///   checks SegI first after intersecting.
 #[inline]
 fn bitmap_settles(
     pool: &TokenPool,
@@ -266,7 +387,7 @@ fn bitmap_settles(
         } else if filters.segd && !segd_pass(bounds, a.seg_len(), b.seg_len(), 0) {
             stats.segd_pruned += 1;
         }
-        // else: finish_pair's silent zero-overlap drop — no counter.
+        // else: the cascade's silent zero-overlap drop — no counter.
         return true;
     }
     if filters.segi && bounds.required_local >= 1 && (ub as i64) < bounds.required_local {
@@ -277,103 +398,69 @@ fn bitmap_settles(
     false
 }
 
-#[allow(clippy::too_many_arguments)]
-fn loop_join(
-    pool: &TokenPool,
-    segments: &[Segment],
-    scope: PairScope,
-    measure: Measure,
-    theta: f64,
-    filters: FilterSet,
-    policy: EmitPolicy,
-    bitmap: bool,
+/// Index and Prefix kernels. With `long = None` (base cells) each segment
+/// probes the segments indexed before it; with `Some(long)` (boundary
+/// cells) the short group is indexed up front and only the long group
+/// probes. Index indexes and probes every token and counts the exact
+/// local overlap while probing; Prefix uses only each segment's local
+/// prefix (complete for θ-similar pairs — the argument is pairwise, not
+/// scan-order-dependent) and intersects the candidates it discovers.
+///
+/// Discovery is slot-indexed: `hits[slot]` counts the probe's tokens
+/// found in that indexed segment and `found` lists the slots hit, in
+/// first-seen order; visiting `found` resets exactly the counts it set.
+fn indexed_join(
+    cascade: &Cascade,
+    short: &[&Segment],
+    long: Option<&[&Segment]>,
+    kernel: JoinKernel,
     stats: &mut FilterStats,
-) -> Vec<CandidateRecord> {
-    let mut out = Vec::new();
-    for i in 0..segments.len() {
-        let a = &segments[i];
-        for b in &segments[i + 1..] {
-            if !admissible(a, b, scope) {
-                continue;
-            }
-            stats.pairs_considered += 1;
-            if filters.strl && !strl_pass(measure, theta, a.len, b.len) {
-                stats.strl_pruned += 1;
-                continue;
-            }
-            let bounds =
-                PairBounds::new(measure, theta, a.len, a.head, a.tail, b.len, b.head, b.tail);
-            if filters.segl && !segl_pass(&bounds, a.seg_len(), b.seg_len()) {
-                stats.segl_pruned += 1;
-                continue;
-            }
-            if filters.segd && !segd_pass_precheck(&bounds, a.seg_len(), b.seg_len()) {
-                stats.segd_pruned += 1;
-                continue;
-            }
-            if bitmap && bitmap_settles(pool, a, b, &bounds, filters, stats) {
-                continue;
-            }
-            stats.count_intersection(a.seg_len(), b.seg_len());
-            let c = intersect_count_adaptive(a.tokens(pool), b.tokens(pool));
-            if let Some(rec) = finish_pair(a, b, c, measure, theta, filters, policy, stats) {
-                out.push(rec);
-            }
+    out: &mut Vec<CandidateRecord>,
+) {
+    let prefix = kernel == JoinKernel::Prefix;
+    let keys = |seg: &Segment| {
+        let tokens = seg.tokens(cascade.pool);
+        if prefix {
+            &tokens[..local_prefix_len(cascade.measure, cascade.theta, seg)]
+        } else {
+            tokens
+        }
+    };
+    // token -> slots (into `short`) of indexed segments containing it.
+    let mut index: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
+    let add = |index: &mut FxHashMap<u32, Vec<u32>>, slot: usize| {
+        for &t in keys(short[slot]) {
+            index.entry(t).or_default().push(slot as u32);
+        }
+    };
+    if long.is_some() {
+        for slot in 0..short.len() {
+            add(&mut index, slot);
         }
     }
-    out
-}
-
-#[allow(clippy::too_many_arguments)]
-fn index_join(
-    pool: &TokenPool,
-    segments: &[Segment],
-    scope: PairScope,
-    measure: Measure,
-    theta: f64,
-    filters: FilterSet,
-    policy: EmitPolicy,
-    stats: &mut FilterStats,
-) -> Vec<CandidateRecord> {
-    let mut out = Vec::new();
-    // token -> slots of already-indexed segments containing it.
-    let mut index: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
-    let mut counts: FxHashMap<u32, u32> = FxHashMap::default();
-    for (slot, a) in segments.iter().enumerate() {
-        counts.clear();
-        for &t in a.tokens(pool) {
-            if let Some(slots) = index.get(&t) {
+    let mut hits = vec![0u32; short.len()];
+    let mut found: Vec<u32> = Vec::new();
+    for (i, &b) in long.unwrap_or(short).iter().enumerate() {
+        for t in keys(b) {
+            if let Some(slots) = index.get(t) {
                 for &s in slots {
-                    *counts.entry(s).or_insert(0) += 1;
+                    let h = &mut hits[s as usize];
+                    if *h == 0 {
+                        found.push(s);
+                    }
+                    *h += 1;
                 }
             }
         }
-        for (&slot_b, &c) in &counts {
-            let b = &segments[slot_b as usize];
-            if !admissible(a, b, scope) {
-                continue;
-            }
-            stats.pairs_considered += 1;
-            if filters.strl && !strl_pass(measure, theta, a.len, b.len) {
-                stats.strl_pruned += 1;
-                continue;
-            }
-            let bounds =
-                PairBounds::new(measure, theta, a.len, a.head, a.tail, b.len, b.head, b.tail);
-            if filters.segl && !segl_pass(&bounds, a.seg_len(), b.seg_len()) {
-                stats.segl_pruned += 1;
-                continue;
-            }
-            if let Some(rec) = finish_pair(a, b, c as usize, measure, theta, filters, policy, stats)
-            {
-                out.push(rec);
-            }
+        for &s in &found {
+            let count = std::mem::take(&mut hits[s as usize]) as usize;
+            cascade.pair(b, short[s as usize], (!prefix).then_some(count), stats, out);
         }
-        for &t in a.tokens(pool) {
-            index.entry(t).or_default().push(slot as u32);
+        found.clear();
+        if long.is_none() {
+            add(&mut index, i);
         }
     }
-    out
 }
 
 /// Minimum local overlap a θ-similar pair must exhibit in this fragment,
@@ -394,229 +481,6 @@ fn local_prefix_len(measure: Measure, theta: f64, seg: &Segment) -> usize {
     let alpha = local_alpha(measure, theta, seg);
     debug_assert!(alpha <= seg.seg_len().max(1));
     seg.seg_len() - alpha.min(seg.seg_len()) + 1
-}
-
-#[allow(clippy::too_many_arguments)]
-fn prefix_join(
-    pool: &TokenPool,
-    segments: &[Segment],
-    scope: PairScope,
-    measure: Measure,
-    theta: f64,
-    filters: FilterSet,
-    policy: EmitPolicy,
-    bitmap: bool,
-    stats: &mut FilterStats,
-) -> Vec<CandidateRecord> {
-    let mut out = Vec::new();
-    let mut index: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
-    let mut seen: FxHashMap<u32, ()> = FxHashMap::default();
-    for (slot, a) in segments.iter().enumerate() {
-        seen.clear();
-        let a_tokens = a.tokens(pool);
-        let prefix = local_prefix_len(measure, theta, a);
-        for &t in &a_tokens[..prefix] {
-            if let Some(slots) = index.get(&t) {
-                for &s in slots {
-                    seen.entry(s).or_insert(());
-                }
-            }
-        }
-        for &slot_b in seen.keys() {
-            let b = &segments[slot_b as usize];
-            if !admissible(a, b, scope) {
-                continue;
-            }
-            stats.pairs_considered += 1;
-            if filters.strl && !strl_pass(measure, theta, a.len, b.len) {
-                stats.strl_pruned += 1;
-                continue;
-            }
-            let bounds =
-                PairBounds::new(measure, theta, a.len, a.head, a.tail, b.len, b.head, b.tail);
-            if filters.segl && !segl_pass(&bounds, a.seg_len(), b.seg_len()) {
-                stats.segl_pruned += 1;
-                continue;
-            }
-            if filters.segd && !segd_pass_precheck(&bounds, a.seg_len(), b.seg_len()) {
-                stats.segd_pruned += 1;
-                continue;
-            }
-            if bitmap && bitmap_settles(pool, a, b, &bounds, filters, stats) {
-                continue;
-            }
-            stats.count_intersection(a.seg_len(), b.seg_len());
-            let c = intersect_count_adaptive(a_tokens, b.tokens(pool));
-            if let Some(rec) = finish_pair(a, b, c, measure, theta, filters, policy, stats) {
-                out.push(rec);
-            }
-        }
-        for (pos, &t) in a_tokens.iter().enumerate().take(prefix) {
-            let _ = pos;
-            index.entry(t).or_default().push(slot as u32);
-        }
-    }
-    out
-}
-
-/// Boundary-cell join: only short × long pairs are considered (the groups
-/// structurally satisfy the boundary rule), so discovery work is bounded
-/// by cross-group token incidences.
-#[allow(clippy::too_many_arguments)]
-fn bipartite_join(
-    pool: &TokenPool,
-    short: &[&Segment],
-    long: &[&Segment],
-    scope: PairScope,
-    measure: Measure,
-    theta: f64,
-    kernel: JoinKernel,
-    filters: FilterSet,
-    policy: EmitPolicy,
-    bitmap: bool,
-    stats: &mut FilterStats,
-) -> Vec<CandidateRecord> {
-    let mut out = Vec::new();
-    if short.is_empty() || long.is_empty() {
-        return out;
-    }
-    match kernel {
-        JoinKernel::Loop => {
-            for a in short {
-                for b in long {
-                    if !admissible(a, b, scope) {
-                        continue;
-                    }
-                    stats.pairs_considered += 1;
-                    if filters.strl && !strl_pass(measure, theta, a.len, b.len) {
-                        stats.strl_pruned += 1;
-                        continue;
-                    }
-                    let bounds = PairBounds::new(
-                        measure, theta, a.len, a.head, a.tail, b.len, b.head, b.tail,
-                    );
-                    if filters.segl && !segl_pass(&bounds, a.seg_len(), b.seg_len()) {
-                        stats.segl_pruned += 1;
-                        continue;
-                    }
-                    if filters.segd && !segd_pass_precheck(&bounds, a.seg_len(), b.seg_len()) {
-                        stats.segd_pruned += 1;
-                        continue;
-                    }
-                    if bitmap && bitmap_settles(pool, a, b, &bounds, filters, stats) {
-                        continue;
-                    }
-                    stats.count_intersection(a.seg_len(), b.seg_len());
-                    let c = intersect_count_adaptive(a.tokens(pool), b.tokens(pool));
-                    if let Some(rec) = finish_pair(a, b, c, measure, theta, filters, policy, stats)
-                    {
-                        out.push(rec);
-                    }
-                }
-            }
-        }
-        JoinKernel::Index => {
-            // Full inverted index over the (usually narrower) short group;
-            // probe with the long group, accumulating exact local overlaps.
-            let mut index: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
-            for (slot, a) in short.iter().enumerate() {
-                for &t in a.tokens(pool) {
-                    index.entry(t).or_default().push(slot as u32);
-                }
-            }
-            let mut counts: FxHashMap<u32, u32> = FxHashMap::default();
-            for b in long {
-                counts.clear();
-                for &t in b.tokens(pool) {
-                    if let Some(slots) = index.get(&t) {
-                        for &s in slots {
-                            *counts.entry(s).or_insert(0) += 1;
-                        }
-                    }
-                }
-                for (&slot_a, &c) in &counts {
-                    let a = short[slot_a as usize];
-                    if !admissible(a, b, scope) {
-                        continue;
-                    }
-                    stats.pairs_considered += 1;
-                    if filters.strl && !strl_pass(measure, theta, a.len, b.len) {
-                        stats.strl_pruned += 1;
-                        continue;
-                    }
-                    let bounds = PairBounds::new(
-                        measure, theta, a.len, a.head, a.tail, b.len, b.head, b.tail,
-                    );
-                    if filters.segl && !segl_pass(&bounds, a.seg_len(), b.seg_len()) {
-                        stats.segl_pruned += 1;
-                        continue;
-                    }
-                    if let Some(rec) =
-                        finish_pair(a, b, c as usize, measure, theta, filters, policy, stats)
-                    {
-                        out.push(rec);
-                    }
-                }
-            }
-        }
-        JoinKernel::Prefix => {
-            // Index the short group's local prefixes, probe with the long
-            // group's local prefixes; completeness argument as in
-            // `prefix_join` (it is pairwise, not scan-order-dependent).
-            let mut index: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
-            for (slot, a) in short.iter().enumerate() {
-                let prefix = local_prefix_len(measure, theta, a);
-                for &t in &a.tokens(pool)[..prefix] {
-                    index.entry(t).or_default().push(slot as u32);
-                }
-            }
-            let mut seen: FxHashMap<u32, ()> = FxHashMap::default();
-            for b in long {
-                seen.clear();
-                let b_tokens = b.tokens(pool);
-                let prefix = local_prefix_len(measure, theta, b);
-                for &t in &b_tokens[..prefix] {
-                    if let Some(slots) = index.get(&t) {
-                        for &s in slots {
-                            seen.entry(s).or_insert(());
-                        }
-                    }
-                }
-                for &slot_a in seen.keys() {
-                    let a = short[slot_a as usize];
-                    if !admissible(a, b, scope) {
-                        continue;
-                    }
-                    stats.pairs_considered += 1;
-                    if filters.strl && !strl_pass(measure, theta, a.len, b.len) {
-                        stats.strl_pruned += 1;
-                        continue;
-                    }
-                    let bounds = PairBounds::new(
-                        measure, theta, a.len, a.head, a.tail, b.len, b.head, b.tail,
-                    );
-                    if filters.segl && !segl_pass(&bounds, a.seg_len(), b.seg_len()) {
-                        stats.segl_pruned += 1;
-                        continue;
-                    }
-                    if filters.segd && !segd_pass_precheck(&bounds, a.seg_len(), b.seg_len()) {
-                        stats.segd_pruned += 1;
-                        continue;
-                    }
-                    if bitmap && bitmap_settles(pool, a, b, &bounds, filters, stats) {
-                        continue;
-                    }
-                    stats.count_intersection(a.seg_len(), b.seg_len());
-                    let c = intersect_count_adaptive(a.tokens(pool), b_tokens);
-                    if let Some(rec) = finish_pair(a, b, c, measure, theta, filters, policy, stats)
-                    {
-                        out.push(rec);
-                    }
-                }
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -652,22 +516,50 @@ mod tests {
         theta: f64,
         filters: FilterSet,
     ) -> (Vec<CandidateRecord>, FilterStats) {
+        let cell = (JoinRule::All, PairScope::SelfJoin, Measure::Jaccard);
+        join(pool, segments, cell, kernel, theta, filters, true)
+    }
+
+    /// `join_fragment` with sorted output, for one `(rule, scope, measure)`.
+    fn join(
+        pool: &TokenPool,
+        segments: &[Segment],
+        (rule, scope, measure): (JoinRule, PairScope, Measure),
+        kernel: JoinKernel,
+        theta: f64,
+        filters: FilterSet,
+        bitmap: bool,
+    ) -> (Vec<CandidateRecord>, FilterStats) {
         let mut stats = FilterStats::default();
         let mut out = join_fragment(
             pool,
             segments,
-            JoinRule::All,
-            PairScope::SelfJoin,
-            Measure::Jaccard,
+            rule,
+            scope,
+            measure,
             theta,
             kernel,
             filters,
             EmitPolicy::Exact,
-            true,
+            bitmap,
             &mut stats,
         );
         out.sort_unstable();
         (out, stats)
+    }
+
+    /// Every `(rule, scope, measure)` the kernel tests sweep: base and
+    /// boundary cells, self- and cross-side pairs, all three measures.
+    fn cells() -> Vec<(JoinRule, PairScope, Measure)> {
+        let mut cells = Vec::new();
+        for rule in [JoinRule::All, JoinRule::Boundary { lo: 4, pivot: 12 }] {
+            for scope in [PairScope::SelfJoin, PairScope::CrossSides] {
+                for measure in Measure::all() {
+                    cells.push((rule, scope, measure));
+                }
+            }
+        }
+        cells
     }
 
     #[test]
@@ -705,35 +597,39 @@ mod tests {
             let len = head + tail + toks.len() as u32;
             segments.push(Segment {
                 rid,
-                side: 0,
+                side: (rid % 2) as u8,
                 len,
                 head,
                 tail,
                 span: pool.push(&toks),
             });
         }
-        for &theta in &[0.5, 0.7, 0.9] {
-            for filters in [FilterSet::ALL, FilterSet::NONE, FilterSet::STRL_ONLY] {
-                let (loop_out, _) = run(&pool, &segments, JoinKernel::Loop, theta, filters);
-                let (index_out, _) = run(&pool, &segments, JoinKernel::Index, theta, filters);
-                assert_eq!(loop_out, index_out, "index θ={theta} {filters:?}");
-                // Prefix may legitimately emit a SUBSET (it skips pairs that
-                // provably cannot be θ-similar), but must contain every pair
-                // whose local overlap meets both records' local alphas.
-                let (prefix_out, _) = run(&pool, &segments, JoinKernel::Prefix, theta, filters);
-                for rec in &prefix_out {
-                    assert!(loop_out.contains(rec), "prefix emitted non-loop record");
-                }
-                let m = Measure::Jaccard;
-                for rec in &loop_out {
-                    let sa = segments.iter().find(|s| s.rid == rec.rid_a).unwrap();
-                    let sb = segments.iter().find(|s| s.rid == rec.rid_b).unwrap();
-                    let need = local_alpha(m, theta, sa).max(local_alpha(m, theta, sb));
-                    if (rec.common as usize) >= need {
-                        assert!(
-                            prefix_out.contains(rec),
-                            "prefix missed a qualifying record {rec:?} (θ={theta})"
-                        );
+        for cell in cells() {
+            for &theta in &[0.5, 0.7, 0.9] {
+                for filters in [FilterSet::ALL, FilterSet::NONE, FilterSet::STRL_ONLY] {
+                    let run = |k| join(&pool, &segments, cell, k, theta, filters, true).0;
+                    let loop_out = run(JoinKernel::Loop);
+                    let index_out = run(JoinKernel::Index);
+                    assert_eq!(loop_out, index_out, "index {cell:?} θ={theta} {filters:?}");
+                    // Prefix may legitimately emit a SUBSET (it skips pairs
+                    // that provably cannot be θ-similar), but must contain
+                    // every pair whose local overlap meets both records'
+                    // local alphas.
+                    let prefix_out = run(JoinKernel::Prefix);
+                    for rec in &prefix_out {
+                        assert!(loop_out.contains(rec), "prefix emitted non-loop record");
+                    }
+                    let m = cell.2;
+                    for rec in &loop_out {
+                        let sa = segments.iter().find(|s| s.rid == rec.rid_a).unwrap();
+                        let sb = segments.iter().find(|s| s.rid == rec.rid_b).unwrap();
+                        let need = local_alpha(m, theta, sa).max(local_alpha(m, theta, sb));
+                        if (rec.common as usize) >= need {
+                            assert!(
+                                prefix_out.contains(rec),
+                                "prefix missed a qualifying record {rec:?} ({cell:?} θ={theta})"
+                            );
+                        }
                     }
                 }
             }
@@ -879,54 +775,66 @@ mod tests {
                 span: pool.push(&toks),
             });
         }
-        for kernel in JoinKernel::all() {
+        for (cell, kernel) in cells()
+            .into_iter()
+            .flat_map(|c| JoinKernel::all().map(|k| (c, k)))
+        {
             for filters in [FilterSet::ALL, FilterSet::NONE, FilterSet::STRL_ONLY] {
                 for &theta in &[0.6, 0.8, 0.95] {
-                    let mut on = FilterStats::default();
-                    let mut with_bitmap = join_fragment(
-                        &pool,
-                        &segments,
-                        JoinRule::All,
-                        PairScope::SelfJoin,
-                        Measure::Jaccard,
-                        theta,
-                        kernel,
-                        filters,
-                        EmitPolicy::Exact,
-                        true,
-                        &mut on,
-                    );
-                    let mut off = FilterStats::default();
-                    let mut without = join_fragment(
-                        &pool,
-                        &segments,
-                        JoinRule::All,
-                        PairScope::SelfJoin,
-                        Measure::Jaccard,
-                        theta,
-                        kernel,
-                        filters,
-                        EmitPolicy::Exact,
-                        false,
-                        &mut off,
-                    );
-                    with_bitmap.sort_unstable();
-                    without.sort_unstable();
-                    assert_eq!(with_bitmap, without, "{kernel:?} {filters:?} θ={theta}");
+                    let (with_bitmap, on) =
+                        join(&pool, &segments, cell, kernel, theta, filters, true);
+                    let (without, off) =
+                        join(&pool, &segments, cell, kernel, theta, filters, false);
+                    let ctx = format!("{cell:?} {kernel:?} {filters:?} θ={theta}");
+                    assert_eq!(with_bitmap, without, "{ctx}");
                     // Golden-pinned counters are identical...
-                    assert_eq!(on.pairs_considered, off.pairs_considered);
-                    assert_eq!(on.strl_pruned, off.strl_pruned);
-                    assert_eq!(on.segl_pruned, off.segl_pruned);
-                    assert_eq!(on.segi_pruned, off.segi_pruned);
-                    assert_eq!(on.segd_pruned, off.segd_pruned);
-                    assert_eq!(on.policy_dropped, off.policy_dropped);
-                    assert_eq!(on.emitted, off.emitted);
+                    assert_eq!(on.pairs_considered, off.pairs_considered, "{ctx}");
+                    assert_eq!(on.strl_pruned, off.strl_pruned, "{ctx}");
+                    assert_eq!(on.segl_pruned, off.segl_pruned, "{ctx}");
+                    assert_eq!(on.segi_pruned, off.segi_pruned, "{ctx}");
+                    assert_eq!(on.segd_pruned, off.segd_pruned, "{ctx}");
+                    assert_eq!(on.policy_dropped, off.policy_dropped, "{ctx}");
+                    assert_eq!(on.emitted, off.emitted, "{ctx}");
                     // ...while each settled pair skips exactly one
                     // intersection, and the off-run touches no bitmaps.
                     assert_eq!(on.intersections + on.bitmap_pruned, off.intersections);
                     assert!(on.bitmap_pruned <= on.bitmap_checks);
                     assert_eq!(off.bitmap_checks, 0);
                     assert_eq!(off.bitmap_pruned, 0);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bound_tables_equal_the_measure_functions() {
+        let pool = TokenPool::new();
+        let max = 2000u32;
+        for measure in Measure::all() {
+            for &theta in &[0.5, 0.7, 0.8, 0.9, 0.95, 1.0] {
+                let c = Cascade::new(
+                    &pool,
+                    max,
+                    PairScope::SelfJoin,
+                    measure,
+                    theta,
+                    FilterSet::ALL,
+                    EmitPolicy::Exact,
+                    false,
+                );
+                for a in 0..=max {
+                    let partner = measure.min_partner_len(theta, a as usize);
+                    assert_eq!(c.partner[a as usize], partner, "{measure:?} θ={theta} {a}");
+                    for b in 0..=max {
+                        let (la, lb) = (a as usize, b as usize);
+                        assert_eq!(
+                            c.min_overlap(a, b),
+                            measure.min_overlap(theta, la, lb),
+                            "{measure:?} θ={theta} |a|={a} |b|={b}"
+                        );
+                        let strl = la.min(lb) >= measure.min_partner_len(theta, la.max(lb));
+                        assert_eq!(c.strl_pass(a, b), strl, "{measure:?} θ={theta} {a} {b}");
+                    }
                 }
             }
         }

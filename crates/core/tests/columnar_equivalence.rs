@@ -10,9 +10,11 @@
 //! (a span must cost what the tokens it denotes would cost on the wire)
 //! shows up here as a hard failure.
 
-use fsjoin::{run_self_join, run_self_join_pf, FsJoinConfig};
+use fsjoin::{run_rs_join, run_self_join, run_self_join_pf, FsJoinConfig};
 use ssj_common::ByteSize;
 use ssj_mapreduce::JobMetrics;
+use ssj_similarity::Measure;
+use ssj_text::encode::encode_two;
 use ssj_text::{encode, CorpusProfile, TokenPool};
 
 /// Order- and score-sensitive FNV digest of a result set.
@@ -148,4 +150,108 @@ fn spanned_segment_byte_size_equals_owned_segment_size() {
         }
     }
     assert!(checked > 300, "expected multiple segments per record");
+}
+
+/// Everything a golden pins about one FS-Join run: the result digest, the
+/// candidate count, every [`FilterStats`](fsjoin::FilterStats) field (in
+/// `FilterStats::fields` order) and per-job shuffle records/bytes.
+struct RunGolden {
+    pairs: usize,
+    digest: u64,
+    candidates: usize,
+    stats: [u64; 11],
+    jobs: &'static [(&'static str, usize, usize)],
+}
+
+fn assert_run(res: &fsjoin::FsJoinResult, want: &RunGolden) {
+    let stats: Vec<u64> = res.filter_stats.fields().iter().map(|f| f.1).collect();
+    let jobs: Vec<(String, usize, usize)> = res
+        .chain
+        .jobs
+        .iter()
+        .map(|j| (j.name.clone(), j.shuffle_records, j.shuffle_bytes))
+        .collect();
+    assert_eq!(res.pairs.len(), want.pairs);
+    assert_eq!(digest_pairs(&res.pairs), want.digest);
+    assert_eq!(res.candidates, want.candidates);
+    assert_eq!(stats, want.stats);
+    let want_jobs: Vec<(String, usize, usize)> = want
+        .jobs
+        .iter()
+        .map(|&(n, r, b)| (n.to_string(), r, b))
+        .collect();
+    assert_eq!(jobs, want_jobs);
+}
+
+#[test]
+fn dice_config_matches_goldens() {
+    let cfg = FsJoinConfig::default()
+        .with_measure(Measure::Dice)
+        .with_theta(0.85)
+        .with_horizontal(2);
+    assert_run(
+        &run_self_join(&corpus(), &cfg),
+        &RunGolden {
+            pairs: 17,
+            digest: 0x297b7c69e59b5ac0,
+            candidates: 32086,
+            stats: [
+                79147, 37339, 3873, 5849, 0, 0, 32086, 37933, 317151, 23054, 2,
+            ],
+            jobs: &[
+                ("fsjoin-filter", 6262, 261138),
+                ("fsjoin-verify", 32078, 641560),
+            ],
+        },
+    );
+}
+
+#[test]
+fn cosine_config_matches_goldens() {
+    let cfg = FsJoinConfig::default()
+        .with_measure(Measure::Cosine)
+        .with_theta(0.75)
+        .with_fragments(6);
+    assert_run(
+        &run_self_join(&corpus(), &cfg),
+        &RunGolden {
+            pairs: 24,
+            digest: 0x89b6743265dccc82,
+            candidates: 24802,
+            stats: [
+                53737, 13758, 1107, 14070, 0, 0, 24802, 38748, 787884, 26490, 124,
+            ],
+            jobs: &[
+                ("fsjoin-filter", 4369, 290349),
+                ("fsjoin-verify", 24802, 496040),
+            ],
+        },
+    );
+}
+
+#[test]
+fn rs_join_config_matches_goldens() {
+    // R is a prefix of S's generator stream, so every R record has an
+    // exact partner in S besides the near-duplicates.
+    let gen = CorpusProfile::WikiLike.config();
+    let (r, s) = encode_two(
+        &gen.clone().with_records(120).generate(),
+        &gen.with_records(300).generate(),
+    );
+    let cfg = FsJoinConfig::default().with_theta(0.7).with_horizontal(2);
+    assert_run(
+        &run_rs_join(&r, &s, &cfg),
+        &RunGolden {
+            pairs: 143,
+            digest: 0x0ffb402f0799b040,
+            candidates: 34230,
+            stats: [
+                68912, 27520, 2535, 4627, 0, 0, 34230, 38855, 340036, 20982, 2,
+            ],
+            jobs: &[
+                ("fsjoin-filter", 8788, 378992),
+                ("fsjoin-verify", 33972, 679440),
+            ],
+        },
+    );
 }

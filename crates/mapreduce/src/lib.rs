@@ -69,6 +69,7 @@ pub mod metrics;
 pub mod partitioner;
 pub mod plan;
 pub mod sim_faults;
+pub mod sort;
 pub mod spill;
 pub mod telemetry;
 pub mod traits;
@@ -85,6 +86,7 @@ pub use plan::{
     Stage, StageEdge, StageHandle, StageInput,
 };
 pub use sim_faults::{SimFaultError, SimFaultOutcome, SimFaultPolicy};
+pub use sort::{sort_bucket, RADIX_MIN_LEN};
 pub use spill::{SharedRun, SpillStore};
 pub use traits::{
     CoGroupReducer, Combiner, Key, Mapper, Reducer, StreamingReducer, SumCombiner, Value,

@@ -39,6 +39,7 @@ use crate::executor::{default_workers, panic_message, TaskError, TaskFailure};
 use crate::merge::{CoGroupedRuns, GroupedRuns};
 use crate::metrics::{ChainMetrics, ExecSummary, JobMetrics, TaskKind, TaskStat};
 use crate::partitioner::{HashPartitioner, Partitioner};
+use crate::sort::sort_bucket;
 use crate::spill::{SharedRun, SpillStore};
 use crate::traits::{CoGroupReducer, Combiner, Key, Mapper, StreamingReducer, Value};
 use ssj_common::ByteSize;
@@ -649,8 +650,9 @@ impl Plan {
 
         // A commutative combiner erases any equal-key permutation before
         // the shuffle observes it, which licenses the faster unstable
-        // map-side bucket sort; everything else keeps the stable sort so
-        // reducers see values in exact emission order.
+        // comparison sort for keys the radix sort does not cover (see
+        // `sort_bucket`); everything else keeps a stable sort so reducers
+        // see values in exact emission order.
         let unstable_bucket_sort = combiner.as_ref().is_some_and(|c| c.is_commutative());
 
         let map_name = name.clone();
@@ -688,21 +690,33 @@ impl Plan {
             let pre_bytes = out.bytes();
             let (pairs, _) = out.into_parts();
 
-            let mut buckets: Vec<Vec<(M::OutKey, M::OutValue)>> =
-                (0..num_reduce).map(|_| Vec::new()).collect();
-            for (k, v) in pairs {
-                let p = partitioner.partition(&k, num_reduce);
-                debug_assert!(p < num_reduce);
-                buckets[p].push((k, v));
+            // Exact-capacity buckets: route, count, then scatter; the
+            // emitter's buffer is freed before any bucket is sorted.
+            let routes: Vec<u32> = pairs
+                .iter()
+                .map(|(k, _)| {
+                    let p = partitioner.partition(k, num_reduce);
+                    debug_assert!(p < num_reduce);
+                    u32::try_from(p).expect("reduce partition index fits in u32")
+                })
+                .collect();
+            let mut sizes = vec![0usize; num_reduce];
+            for &p in &routes {
+                sizes[p as usize] += 1;
             }
+            let mut buckets: Vec<Vec<(M::OutKey, M::OutValue)>> =
+                sizes.into_iter().map(Vec::with_capacity).collect();
+            for (pair, p) in pairs.into_iter().zip(routes) {
+                buckets[p as usize].push(pair);
+            }
+            let mut scratch = Vec::new();
+            for bucket in &mut buckets {
+                sort_bucket(bucket, &mut scratch, !unstable_bucket_sort);
+            }
+            drop(scratch);
             let mut post_bytes = 0usize;
             let mut post_records = 0usize;
             for bucket in &mut buckets {
-                if unstable_bucket_sort {
-                    bucket.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-                } else {
-                    bucket.sort_by(|a, b| a.0.cmp(&b.0));
-                }
                 if let Some(c) = combiner.as_ref() {
                     *bucket = combine_runs(std::mem::take(bucket), c);
                 }

@@ -4,13 +4,17 @@
 //! golden digests in `crates/core/tests/columnar_equivalence.rs` pin), and
 //! [`GroupedRuns`] must produce exactly the groups the old group-walk
 //! produced. Also checks the end-to-end equivalence of a job driven
-//! through a [`StreamingReducer`] against its batch [`Reducer`] twin.
+//! through a [`StreamingReducer`] against its batch [`Reducer`] twin, and
+//! that the map-side bucket sort (radix for packed keys) equals a stable
+//! `sort_by` on keys.
 
 use proptest::prelude::*;
+use ssj_mapreduce::{sort_bucket, RADIX_MIN_LEN};
 use ssj_mapreduce::{
     CoGroupedRuns, Dataset, Emitter, GroupValues, GroupedRuns, JobMetrics, KWayMerge, Mapper, Plan,
     PlanRunner, Reducer, StreamingReducer,
 };
+use std::sync::Arc;
 
 /// Arbitrary set of sorted runs (what the map phase spills): up to 8 runs
 /// of up to 40 pairs each, keys drawn from a small domain so duplicate
@@ -303,5 +307,112 @@ impl StreamingReducer for StreamSum {
         out: &mut Emitter<u32, u64>,
     ) {
         out.emit(*k, vs.map(|&v| u64::from(v)).sum());
+    }
+}
+
+// ---- Map-side bucket sort --------------------------------------------------
+
+/// Splitmix64 stream for the bucket-sort keys.
+fn splitmix(seed: u64) -> impl FnMut() -> u64 {
+    let mut state = seed;
+    move || {
+        state = state.wrapping_add(0x9e3779b97f4a7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+        z ^ (z >> 31)
+    }
+}
+
+/// Key shapes: 0 a small domain (many equal keys), 1 all keys equal,
+/// 2 keys that differ only in the top byte of a near-`MAX` value,
+/// 3 uniform over the whole key space.
+fn u32_key(shape: u8, r: u64) -> u32 {
+    match shape {
+        0 => (r % 7) as u32,
+        1 => 0xdead_beef,
+        2 => (u32::MAX >> 8) | ((r as u32) << 24),
+        _ => r as u32,
+    }
+}
+
+fn u64_key(shape: u8, r: u64) -> u64 {
+    match shape {
+        0 => r % 7,
+        1 => 0xdead_beef_0bad_f00d,
+        2 => (u64::MAX >> 8) | (r << 56),
+        _ => r,
+    }
+}
+
+fn pair_key(shape: u8, r: u64) -> (u32, u32) {
+    match shape {
+        // Top byte of either component, the other one at `u32::MAX`.
+        2 if r & 1 == 0 => (u32_key(2, r >> 8), u32::MAX),
+        2 => (u32::MAX, u32_key(2, r >> 8)),
+        _ => (u32_key(shape, r >> 32), u32_key(shape, r)),
+    }
+}
+
+/// `sort_bucket` on keys whose values own memory (an `Arc` carrying the
+/// emission index) must equal `sort_by` on keys element for element, and
+/// must neither drop a value twice nor leak one: once the sorted bucket
+/// is dropped, every witness clone is the last reference again.
+fn check_bucket_sort<K: Ord + Copy + std::fmt::Debug + 'static>(keys: Vec<K>, stable: bool) {
+    let bucket: Vec<(K, Arc<usize>)> = keys
+        .iter()
+        .enumerate()
+        .map(|(i, &k)| (k, Arc::new(i)))
+        .collect();
+    let witnesses: Vec<Arc<usize>> = bucket.iter().map(|(_, v)| Arc::clone(v)).collect();
+    let mut want: Vec<(K, usize)> = keys.iter().copied().zip(0..).collect();
+    want.sort_by_key(|a| a.0);
+
+    let mut sorted = bucket;
+    let mut scratch = Vec::new();
+    sort_bucket(&mut sorted, &mut scratch, stable);
+    assert!(scratch.is_empty());
+    let got: Vec<(K, usize)> = sorted.iter().map(|(k, v)| (*k, **v)).collect();
+    assert_eq!(got, want);
+    drop(sorted);
+    drop(scratch);
+    assert!(witnesses.iter().all(|w| Arc::strong_count(w) == 1));
+}
+
+proptest! {
+    /// Radix and comparison paths both reproduce `sort_by` on all three
+    /// packed key types, for every key shape, at the lengths around the
+    /// radix cutoff — and the stable flag cannot change a packed key's
+    /// order.
+    #[test]
+    fn bucket_sort_equals_stable_sort_by(
+        len in prop::sample::select(vec![
+            0,
+            1,
+            RADIX_MIN_LEN - 1,
+            RADIX_MIN_LEN,
+            RADIX_MIN_LEN + 1,
+            3 * RADIX_MIN_LEN + 17,
+        ]),
+        shape in 0u8..4,
+        seed in 0u64..1_000_000,
+        stable in prop::sample::select(vec![false, true]),
+    ) {
+        let mut next = splitmix(seed);
+        let rs: Vec<u64> = (0..len).map(|_| next()).collect();
+        check_bucket_sort(rs.iter().map(|&r| u32_key(shape, r)).collect(), stable);
+        check_bucket_sort(rs.iter().map(|&r| u64_key(shape, r)).collect(), stable);
+        check_bucket_sort(rs.iter().map(|&r| pair_key(shape, r)).collect(), stable);
+    }
+}
+
+#[test]
+fn bucket_sort_equals_stable_sort_by_at_100k() {
+    for shape in 0..4 {
+        let mut next = splitmix(u64::from(shape) + 41);
+        let rs: Vec<u64> = (0..100_000).map(|_| next()).collect();
+        check_bucket_sort(rs.iter().map(|&r| u32_key(shape, r)).collect(), false);
+        check_bucket_sort(rs.iter().map(|&r| u64_key(shape, r)).collect(), false);
+        check_bucket_sort(rs.iter().map(|&r| pair_key(shape, r)).collect(), true);
     }
 }

@@ -16,7 +16,7 @@ echo "== lint: rustfmt =="
 cargo fmt --check
 
 echo "== lint: clippy (deny warnings) =="
-cargo clippy --workspace -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== tier-1: build =="
 cargo build --release
