@@ -203,10 +203,11 @@ fn measure(
 /// (DESIGN.md §13) and record its logical footprint *next to* both the
 /// legacy rekey fan-in path and the RIDPairsPPJoin-over-concat way of
 /// answering the same query — shuffle records/bytes and candidate counts
-/// for all three, plus the result-pair counts they must agree on and the
-/// join stage's bytes-saved counter. A plan-layer regression that brings
-/// the second shuffle back (or silently changes either side's candidate
-/// generation) trips the zero-tolerance counter gate.
+/// for all three, plus the result-pair counts and the join stage's
+/// bytes-saved counter. The three must agree on the whole pair list (ids
+/// and score bits), or the probe panics. A plan-layer regression that
+/// brings the second shuffle back (or silently changes either side's
+/// candidate generation) trips the zero-tolerance counter gate.
 fn measure_rsjoin(unit_secs: f64, handicap: f64) -> BenchReport {
     use ssj_baselines::ridpairs::ridpairs_ppjoin;
     use ssj_similarity::Measure;
@@ -229,8 +230,8 @@ fn measure_rsjoin(unit_secs: f64, handicap: f64) -> BenchReport {
     // the exactness cross-check).
     let rekey = fsjoin::run_rs_join_two_input(&r, &s, &cfg.clone().with_rs_cogroup(false));
     assert_eq!(
-        res.pairs.len(),
-        rekey.pairs.len(),
+        pair_bits(&res.pairs),
+        pair_bits(&rekey.pairs),
         "co-group and rekey join paths disagree on the result"
     );
 
@@ -253,14 +254,10 @@ fn measure_rsjoin(unit_secs: f64, handicap: f64) -> BenchReport {
         0.8,
         &ssj_baselines::BaselineConfig::default(),
     );
-    let rid_cross = rid
-        .pairs
-        .iter()
-        .filter(|p| {
-            let (a, b) = p.ids();
-            a < offset && b >= offset
-        })
-        .count();
+    let rid_cross = pair_bits(rid.pairs.iter().filter(|p| {
+        let (a, b) = p.ids();
+        a < offset && b >= offset
+    }));
 
     let mut counters: Vec<(String, f64)> = vec![
         ("rsjoin.pairs".into(), res.pairs.len() as f64),
@@ -294,7 +291,7 @@ fn measure_rsjoin(unit_secs: f64, handicap: f64) -> BenchReport {
             "rsjoin_rekey.shuffle.bytes".into(),
             rekey.chain.total_shuffle_bytes() as f64,
         ),
-        ("ridpairs_concat.pairs_cross".into(), rid_cross as f64),
+        ("ridpairs_concat.pairs_cross".into(), rid_cross.len() as f64),
         (
             "ridpairs_concat.shuffle.records".into(),
             rid.chain
@@ -309,7 +306,7 @@ fn measure_rsjoin(unit_secs: f64, handicap: f64) -> BenchReport {
         ),
     ];
     assert_eq!(
-        res.pairs.len(),
+        pair_bits(&res.pairs),
         rid_cross,
         "two-input plan and ridpairs-over-concat disagree on the result"
     );
@@ -319,6 +316,22 @@ fn measure_rsjoin(unit_secs: f64, handicap: f64) -> BenchReport {
         wall_units: best / unit_secs * handicap,
         counters,
     }
+}
+
+/// A pair list as sorted `(a, b, score bits)` triples — the exact form in
+/// which two join paths must agree.
+fn pair_bits<'a>(
+    pairs: impl IntoIterator<Item = &'a ssj_similarity::SimilarPair>,
+) -> Vec<(u32, u32, u64)> {
+    let mut bits: Vec<(u32, u32, u64)> = pairs
+        .into_iter()
+        .map(|p| {
+            let (a, b) = p.ids();
+            (a, b, p.sim.to_bits())
+        })
+        .collect();
+    bits.sort_unstable();
+    bits
 }
 
 /// The serving-plane probe: build a [`ssj_serve::ServeIndex`] over the

@@ -105,9 +105,12 @@ pub struct FilterStats {
     pub emitted: u64,
     /// Exact intersections executed by the join kernel (the Index kernel
     /// accumulates counts while probing, so it reports 0 here). Counts
-    /// only pairs that survived the bitmap check.
+    /// only pairs that survived the bitmap check; the R×S join counts
+    /// only the pairs its group owns that pass the positional bound, and
+    /// every such kernel call, including those that exit early.
     pub intersections: u64,
-    /// Tokens fed to those intersections (sum of both inputs per call).
+    /// Tokens fed to those intersections (sum of both inputs per call; the
+    /// R×S join feeds only the suffixes after the group's token).
     pub intersect_tokens: u64,
     /// Pairs whose record bitmaps were consulted before intersecting.
     pub bitmap_checks: u64,

@@ -14,40 +14,60 @@
 //! * stage `rsjoin-join` consumes **both** prefix stages. By default
 //!   ([`FsJoinConfig::rs_cogroup`]) it is a **co-group stage**
 //!   ([`Plan::add_cogroup`]): task `i` merges the sealed partitions `i`
-//!   of R and S in place (side 0 = R, side 1 = S) and verifies every
-//!   cross-side pair per token group — the re-shuffle the old
+//!   of R and S in place (side 0 = R, side 1 = S) and verifies the
+//!   cross-side pairs of each token group — the re-shuffle the old
 //!   identity-rekey fan-in paid to reunite records its upstreams had
 //!   already co-partitioned is gone. With the flag off, the stage runs
 //!   as that rekey fan-in through [`StageInput::Stages`] instead; both
 //!   paths share one verification core, so pair digests and filter
-//!   verdicts are bit-identical;
-//! * stage `rsjoin-dedup` collapses pairs discovered under several shared
-//!   prefix tokens (a shuffle stage, except in the single-partition case
-//!   where the join output is provably pair-partitioned and the dedup
-//!   co-groups the sealed partition in place).
+//!   verdicts are bit-identical.
+//!
+//! The join stage's output is the result: every pair is emitted once, so
+//! no dedup stage follows.
 //!
 //! Record ids live in the concatenated-pool id space of
 //! [`TokenPool::concat`]: R keeps its ids, S ids are shifted by `|R|`, so
 //! a pair `(a, b)` always has `a < |R| ≤ b`. The shared arena ships to all
-//! three token-touching stages over one [`Broadcast`](ssj_mapreduce::StageEdge)
-//! edge.
+//! three stages over one [`Broadcast`](ssj_mapreduce::StageEdge) edge.
 //!
-//! Completeness is the prefix-filter theorem, two-sided: if
-//! `sim(r, s) ≥ θ` then the probe prefixes of *both* records contain a
-//! common token, so the pair meets in that token's group. Verification is
-//! an exact intersection, scored identically to the PPJoin kernel — pair
-//! digests match RIDPairsPPJoin run over the concatenated collection and
-//! filtered to cross-side pairs, bit for bit.
+//! Inside a token group `t` the verification core
+//! ([`CrossVerifyCore::verify_group`]) runs, per cross pair `(r, s)`:
+//!
+//! 1. **Length window** (StrL, Lemma 1). Both sides are sorted by
+//!    `(|x|, id)`. The `|s|` that pass StrL against `|r|` form an
+//!    interval, so two binary searches find each `r`'s window and the
+//!    pairs outside it are counted as pruned without being visited.
+//! 2. **Bitmap prune** (optional, lossless): an XOR-Hamming upper bound on
+//!    the overlap below the required overlap `α` skips the pair.
+//! 3. **Ownership.** Merge `r` and `s` from their first tokens up to the
+//!    first common token `c`. The group verifies the pair only if
+//!    `c = t`; otherwise the group of `c` does.
+//! 4. **Positional bound.** With `t` at positions `i` in `r` and `j` in
+//!    `s`, the overlap is at most `1 + min(|r|−i−1, |s|−j−1)`. A bound
+//!    below `α` skips the pair; otherwise the suffixes after `t` go to
+//!    the early-exit kernel, which needs `α − 1` more common tokens.
+//!
+//! Completeness and uniqueness. If `sim(r, s) ≥ θ`, the two-sided
+//! prefix-filter theorem puts some common token `t'` in both probe
+//! prefixes. The smallest common token `c ≤ t'` precedes `t'` in both
+//! records, so `c` lies in both probe prefixes too, and the pair meets in
+//! `c`'s group. Every common token `t > c` has `c` before it in both
+//! records, so the pair is skipped in `t`'s group. Hence each result pair
+//! is verified and emitted exactly once, in the group of its smallest
+//! shared token. Scores come from the same `passes` / `score` calls as
+//! the PPJoin kernel on the full overlap `1 + |r[i+1..] ∩ s[j+1..]|`, so
+//! pair digests match RIDPairsPPJoin run over the concatenated collection
+//! and filtered to cross-side pairs, bit for bit.
 
 use crate::config::FsJoinConfig;
 use crate::driver::FsJoinResult;
-use crate::filters::FilterStats;
+use crate::filters::{strl_pass, FilterStats};
 use ssj_mapreduce::{
     CoGroupReducer, Dataset, Emitter, GroupValues, HashPartitioner, IdentityCombiner, Mapper, Plan,
     PlanRunner, SideGroups, StreamingReducer,
 };
 use ssj_observe::{span, MetricsRegistry};
-use ssj_similarity::intersect::intersect_count_adaptive;
+use ssj_similarity::intersect::intersect_count_at_least;
 use ssj_similarity::{Measure, SimilarPair};
 use ssj_text::{Collection, PooledRecord, TokenPool};
 use std::sync::Arc;
@@ -117,36 +137,90 @@ impl Mapper for JoinIdentity {
     }
 }
 
+/// The `|s|` window of `s_buf` (sorted by length) that passes StrL against
+/// a record of length `len_r`. The pass set is the interval
+/// `[min_partner_len(|r|), max{|s| : min_partner_len(|s|) ≤ |r|}]`: below
+/// `|r|` the predicate rises with `|s|`, above it falls. Each search uses
+/// the exact [`strl_pass`] predicate on its side of `|r|`.
+fn strl_window(
+    measure: Measure,
+    theta: f64,
+    len_r: u32,
+    s_buf: &[PooledRecord],
+) -> std::ops::Range<usize> {
+    let lo = s_buf
+        .partition_point(|s| s.span.len < len_r && !strl_pass(measure, theta, len_r, s.span.len));
+    let hi = lo
+        + s_buf[lo..].partition_point(|s| {
+            s.span.len <= len_r || strl_pass(measure, theta, len_r, s.span.len)
+        });
+    lo..hi
+}
+
+/// Positions `(i, j)` of the first token `a` and `b` share, by a merge
+/// from their first tokens; `None` when they are disjoint.
+fn first_common(a: &[u32], b: &[u32]) -> Option<(usize, usize)> {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => return Some((i, j)),
+        }
+    }
+    None
+}
+
 /// The exact cross-pair verification pipeline shared by both join-stage
 /// execution paths ([`CrossVerify`] on the rekey fan-in, [`CrossVerifyCo`]
-/// on the co-group stage): string-length filter → optional bitmap prune →
-/// exact intersection, with every prune decision counted into the same
-/// [`FilterStats`]. One code path means the two stages' filter verdicts
-/// and scores are bit-identical by construction.
+/// on the co-group stage): length window → optional bitmap prune →
+/// ownership → positional bound → early-exit intersection (module docs),
+/// with every decision counted into the same [`FilterStats`]. One code
+/// path means the two stages' filter verdicts and scores are
+/// bit-identical by construction. The side buffers are reused across
+/// groups.
 struct CrossVerifyCore {
     pool: Arc<TokenPool>,
     measure: Measure,
     theta: f64,
     bitmap: bool,
+    r_buf: Vec<PooledRecord>,
+    s_buf: Vec<PooledRecord>,
     local_stats: FilterStats,
     registry: Arc<MetricsRegistry>,
 }
 
 impl CrossVerifyCore {
-    /// Verify every (r, s) cross pair of one token group.
+    /// Verify the cross pairs of token `token`'s group that this group
+    /// owns. `records` yields `(is_r, record)` for every group member.
     fn verify_group(
         &mut self,
-        r_buf: &[PooledRecord],
-        s_buf: &[PooledRecord],
+        token: u32,
+        records: impl Iterator<Item = (bool, PooledRecord)>,
         out: &mut Emitter<(u32, u32), f64>,
     ) {
-        for r in r_buf {
-            for s in s_buf {
-                self.local_stats.pairs_considered += 1;
-                if !crate::filters::strl_pass(self.measure, self.theta, r.span.len, s.span.len) {
-                    self.local_stats.strl_pruned += 1;
-                    continue;
-                }
+        self.r_buf.clear();
+        self.s_buf.clear();
+        for (is_r, rec) in records {
+            if is_r {
+                self.r_buf.push(rec);
+            } else {
+                self.s_buf.push(rec);
+            }
+        }
+        let by_len = |x: &PooledRecord| (x.span.len, x.id);
+        self.r_buf.sort_unstable_by_key(by_len);
+        self.s_buf.sort_unstable_by_key(by_len);
+        let (measure, theta) = (self.measure, self.theta);
+        let stats = &mut self.local_stats;
+        for r in &self.r_buf {
+            let window = strl_window(measure, theta, r.span.len, &self.s_buf);
+            stats.pairs_considered += self.s_buf.len() as u64;
+            stats.strl_pruned += (self.s_buf.len() - window.len()) as u64;
+            let ra = self.pool.resolve(r.span);
+            for s in &self.s_buf[window] {
+                let sb = self.pool.resolve(s.span);
+                let alpha = measure.min_overlap(theta, ra.len(), sb.len());
                 if self.bitmap {
                     // Record ids index the concat pool (id contract above),
                     // so each side's bitmap is a direct lookup. A bound
@@ -154,35 +228,43 @@ impl CrossVerifyCore {
                     // The saturation guard skips the bitmap reads when the
                     // bound's floor `(|r| + |s| - width) / 2` already
                     // reaches α (long records saturate the bitmap).
-                    let alpha = self
-                        .measure
-                        .min_overlap(self.theta, r.span.len(), s.span.len());
                     let floor_ub =
-                        (r.span.len() + s.span.len()).saturating_sub(self.pool.bitmap_bits()) / 2;
+                        (ra.len() + sb.len()).saturating_sub(self.pool.bitmap_bits()) / 2;
                     if floor_ub < alpha {
-                        self.local_stats.bitmap_checks += 1;
+                        stats.bitmap_checks += 1;
                         let ub = ssj_similarity::bitmap::overlap_upper_bound(
                             self.pool.bitmap_of(r.id),
                             self.pool.bitmap_of(s.id),
-                            r.span.len(),
-                            s.span.len(),
+                            ra.len(),
+                            sb.len(),
                         );
                         if ub < alpha {
-                            self.local_stats.bitmap_pruned += 1;
+                            stats.bitmap_pruned += 1;
                             continue;
                         }
                     }
                 }
-                let (ra, sb) = (self.pool.resolve(r.span), self.pool.resolve(s.span));
-                let overlap = intersect_count_adaptive(ra, sb);
-                self.local_stats.intersections += 1;
-                self.local_stats.intersect_tokens += (ra.len() + sb.len()) as u64;
-                if self.measure.passes(overlap, ra.len(), sb.len(), self.theta) {
-                    self.local_stats.emitted += 1;
-                    out.emit(
-                        (r.id, s.id),
-                        self.measure.score(overlap, ra.len(), sb.len()),
-                    );
+                // Ownership: only the group of the first shared token
+                // verifies the pair.
+                let (i, j) = match first_common(ra, sb) {
+                    Some((i, j)) if ra[i] == token => (i, j),
+                    _ => continue,
+                };
+                // Positional bound: no token before `token` is shared.
+                let (r_tail, s_tail) = (&ra[i + 1..], &sb[j + 1..]);
+                if 1 + r_tail.len().min(s_tail.len()) < alpha {
+                    continue;
+                }
+                stats.intersections += 1;
+                stats.intersect_tokens += (r_tail.len() + s_tail.len()) as u64;
+                let Some(tail) = intersect_count_at_least(r_tail, s_tail, alpha.saturating_sub(1))
+                else {
+                    continue;
+                };
+                let overlap = 1 + tail;
+                if measure.passes(overlap, ra.len(), sb.len(), theta) {
+                    stats.emitted += 1;
+                    out.emit((r.id, s.id), measure.score(overlap, ra.len(), sb.len()));
                 }
             }
         }
@@ -196,14 +278,12 @@ impl CrossVerifyCore {
 }
 
 /// Join-stage reducer (rekey fan-in path): splits each token group by side
-/// (`id < |R|` is R — the concat-pool id contract) and verifies every
-/// cross pair exactly. Pruning counters flow into the run's registry at
-/// cleanup, like the main driver's fragment reducer.
+/// (`id < |R|` is R — the concat-pool id contract) and hands it to the
+/// shared core. Pruning counters flow into the run's registry at cleanup,
+/// like the main driver's fragment reducer.
 struct CrossVerify {
     core: CrossVerifyCore,
     num_r: u32,
-    r_buf: Vec<PooledRecord>,
-    s_buf: Vec<PooledRecord>,
 }
 
 impl StreamingReducer for CrossVerify {
@@ -214,20 +294,13 @@ impl StreamingReducer for CrossVerify {
 
     fn reduce_group(
         &mut self,
-        _token: &u32,
+        token: &u32,
         records: &mut GroupValues<'_, '_, u32, PooledRecord>,
         out: &mut Emitter<(u32, u32), f64>,
     ) {
-        self.r_buf.clear();
-        self.s_buf.clear();
-        for rec in records {
-            if rec.id < self.num_r {
-                self.r_buf.push(*rec);
-            } else {
-                self.s_buf.push(*rec);
-            }
-        }
-        self.core.verify_group(&self.r_buf, &self.s_buf, out);
+        let num_r = self.num_r;
+        self.core
+            .verify_group(*token, records.map(|rec| (rec.id < num_r, *rec)), out);
     }
 
     fn cleanup(&mut self, _out: &mut Emitter<(u32, u32), f64>) {
@@ -243,8 +316,6 @@ impl StreamingReducer for CrossVerify {
 /// scores are bit-identical across the two paths.
 struct CrossVerifyCo {
     core: CrossVerifyCore,
-    r_buf: Vec<PooledRecord>,
-    s_buf: Vec<PooledRecord>,
 }
 
 impl CoGroupReducer for CrossVerifyCo {
@@ -255,80 +326,16 @@ impl CoGroupReducer for CrossVerifyCo {
 
     fn cogroup(
         &mut self,
-        _token: &u32,
+        token: &u32,
         records: &mut SideGroups<'_, '_, u32, PooledRecord>,
         out: &mut Emitter<(u32, u32), f64>,
     ) {
-        self.r_buf.clear();
-        self.s_buf.clear();
-        for (side, rec) in records {
-            if side == 0 {
-                self.r_buf.push(*rec);
-            } else {
-                self.s_buf.push(*rec);
-            }
-        }
-        self.core.verify_group(&self.r_buf, &self.s_buf, out);
+        self.core
+            .verify_group(*token, records.map(|(side, rec)| (side == 0, *rec)), out);
     }
 
     fn cleanup(&mut self, _out: &mut Emitter<(u32, u32), f64>) {
         self.core.flush();
-    }
-}
-
-/// Dedup mapper: identity over `((a, b), sim)`.
-struct DedupMapper;
-
-impl Mapper for DedupMapper {
-    type InKey = (u32, u32);
-    type InValue = f64;
-    type OutKey = (u32, u32);
-    type OutValue = f64;
-
-    fn map(&mut self, pair: (u32, u32), sim: f64, out: &mut Emitter<(u32, u32), f64>) {
-        out.emit(pair, sim);
-    }
-}
-
-/// Dedup reducer: all duplicates of a pair carry the same exact score;
-/// keep the first.
-struct KeepFirstSim;
-
-impl StreamingReducer for KeepFirstSim {
-    type InKey = (u32, u32);
-    type InValue = f64;
-    type OutKey = (u32, u32);
-    type OutValue = f64;
-
-    fn reduce_group(
-        &mut self,
-        pair: &(u32, u32),
-        sims: &mut GroupValues<'_, '_, (u32, u32), f64>,
-        out: &mut Emitter<(u32, u32), f64>,
-    ) {
-        out.emit(*pair, *sims.next().expect("group has at least one value"));
-    }
-}
-
-/// Co-group counterpart of [`KeepFirstSim`], used when the join output is
-/// already pair-partitioned (single reduce partition): every duplicate of
-/// a pair is then provably co-located, so the dedup can group the sealed
-/// partition in place instead of re-shuffling it.
-struct KeepFirstSimCo;
-
-impl CoGroupReducer for KeepFirstSimCo {
-    type InKey = (u32, u32);
-    type InValue = f64;
-    type OutKey = (u32, u32);
-    type OutValue = f64;
-
-    fn cogroup(
-        &mut self,
-        pair: &(u32, u32),
-        sims: &mut SideGroups<'_, '_, (u32, u32), f64>,
-        out: &mut Emitter<(u32, u32), f64>,
-    ) {
-        out.emit(*pair, *sims.next().expect("group has at least one value").1);
     }
 }
 
@@ -340,10 +347,11 @@ impl CoGroupReducer for KeepFirstSimCo {
 ///
 /// The returned [`FsJoinResult`] carries no pivots (`pivots` /
 /// `h_pivots` empty — this plan partitions by prefix token, not by
-/// fragment), `candidates` counts verified-pair emissions before dedup,
-/// and `deps` records the fan-in shape
-/// `[[], [], [0, 1], [2]]` — identical on both join-stage paths, since a
-/// co-group edge and a rekey shuffle edge express the same dependency.
+/// fragment), `candidates` counts the join stage's output records —
+/// equal to `pairs.len()`, since each pair is emitted exactly once — and
+/// `deps` records the fan-in shape `[[], [], [0, 1]]`, identical on both
+/// join-stage paths, since a co-group edge and a rekey shuffle edge
+/// express the same dependency.
 pub fn run_rs_join_two_input(r: &Collection, s: &Collection, cfg: &FsJoinConfig) -> FsJoinResult {
     cfg.validate();
     assert_eq!(
@@ -421,6 +429,8 @@ pub fn run_rs_join_two_input(r: &Collection, s: &Collection, cfg: &FsJoinConfig)
             measure,
             theta,
             bitmap,
+            r_buf: Vec::new(),
+            s_buf: Vec::new(),
             local_stats: FilterStats::default(),
             registry: Arc::clone(&registry),
         }
@@ -435,8 +445,6 @@ pub fn run_rs_join_two_input(r: &Collection, s: &Collection, cfg: &FsJoinConfig)
             pool_bcast,
             move |_, pool: &Arc<TokenPool>| CrossVerifyCo {
                 core: core_factory(pool),
-                r_buf: Vec::new(),
-                s_buf: Vec::new(),
             },
         )
     } else {
@@ -449,36 +457,19 @@ pub fn run_rs_join_two_input(r: &Collection, s: &Collection, cfg: &FsJoinConfig)
             move |_, pool: &Arc<TokenPool>| CrossVerify {
                 core: core_factory(pool),
                 num_r: num_r as u32,
-                r_buf: Vec::new(),
-                s_buf: Vec::new(),
             },
             HashPartitioner,
             None::<IdentityCombiner>,
         )
     };
-    // Dedup: a pair discovered under several shared prefix tokens surfaces
-    // in several join partitions, so collapsing duplicates needs a shuffle
-    // in general. Only a single join partition makes the input provably
-    // pair-partitioned — then the sealed partition co-groups in place.
-    let unique = if cfg.rs_cogroup && cfg.reduce_tasks == 1 {
-        plan.add_cogroup("rsjoin-dedup", vec![joined], |_| KeepFirstSimCo)
-    } else {
-        plan.add(
-            "rsjoin-dedup",
-            joined,
-            cfg.reduce_tasks,
-            |_| DedupMapper,
-            |_| KeepFirstSim,
-        )
-    };
 
     let mut outcome = PlanRunner::new(cfg.plan_mode).run(plan);
-    let verified = outcome.take_output(unique);
+    let verified = outcome.take_output(joined);
     let peak_live_bytes = outcome.peak_live_bytes;
     let deps = outcome.deps().to_vec();
     let chain = outcome.metrics;
-    // Verified emissions before dedup — the cross-pair analogue of the
-    // kernel-output candidate count the baselines report.
+    // Join-stage emissions — the cross-pair analogue of the kernel-output
+    // candidate count the baselines report (one per result pair).
     let candidates = chain.jobs[2].reduce_output_records();
     drop(prefix_span);
     drop(join_span.field("candidates", candidates));
@@ -586,9 +577,11 @@ mod tests {
     fn declares_the_fan_in_plan_shape() {
         let (r, s) = rs_corpora(20, 60);
         let res = run_rs_join_two_input(&r, &s, &FsJoinConfig::default().with_theta(0.8));
-        assert_eq!(res.chain.jobs.len(), 4);
+        assert_eq!(res.chain.jobs.len(), 3);
         assert_eq!(res.chain.jobs[2].name, "rsjoin-join");
-        assert_eq!(res.deps, vec![vec![], vec![], vec![0, 1], vec![2]]);
+        assert_eq!(res.deps, vec![vec![], vec![], vec![0, 1]]);
+        // No dedup stage: the join emits each result pair once.
+        assert_eq!(res.candidates, res.pairs.len());
         assert!(res.pivots.is_empty() && res.h_pivots.is_empty());
         // Default path: the join stage is a co-group — no map tasks, no
         // shuffle traffic of its own, bytes-saved counter populated.
@@ -650,20 +643,32 @@ mod tests {
         }
     }
 
-    /// With one reduce partition the join output is pair-partitioned, so
-    /// the dedup also runs as a co-group — results still match the rekey
-    /// plan exactly.
+    /// The binary-searched StrL window is exactly the set of lengths a
+    /// linear `strl_pass` scan keeps, for every measure, a spread of
+    /// thresholds and every probe length up to 2000.
     #[test]
-    fn single_partition_cogroup_dedup_matches() {
-        let (r, s) = rs_corpora(30, 90);
-        let base = FsJoinConfig::default().with_theta(0.7).with_tasks(4, 1);
-        let co = run_rs_join_two_input(&r, &s, &base.clone().with_rs_cogroup(true));
-        let rk = run_rs_join_two_input(&r, &s, &base.with_rs_cogroup(false));
-        assert_eq!(pair_digest(&co.pairs), pair_digest(&rk.pairs));
-        let dedup = &co.chain.jobs[3];
-        assert!(dedup.cogroup, "single-partition dedup must co-group");
-        assert_eq!(dedup.shuffle_bytes, 0);
-        assert!(!rk.chain.jobs[3].cogroup);
+    fn strl_window_equals_linear_scan() {
+        const MAX_LEN: u32 = 2000;
+        let s_buf: Vec<PooledRecord> = (0..=MAX_LEN)
+            .map(|len| PooledRecord {
+                id: len,
+                span: ssj_text::TokenSpan { start: 0, len },
+            })
+            .collect();
+        for measure in Measure::all() {
+            for &theta in &[0.5, 0.75, 0.8, 0.95, 1.0] {
+                for len_r in 0..=MAX_LEN {
+                    let want: Vec<u32> = (0..=MAX_LEN)
+                        .filter(|&len_s| strl_pass(measure, theta, len_r, len_s))
+                        .collect();
+                    let got: Vec<u32> = s_buf[strl_window(measure, theta, len_r, &s_buf)]
+                        .iter()
+                        .map(|s| s.span.len)
+                        .collect();
+                    assert_eq!(got, want, "{measure:?} θ={theta} |r|={len_r}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -211,7 +211,7 @@ proptest! {
             &r, &s, &base.clone().with_plan_mode(PlanMode::Pipelined));
         let seq = fsjoin::run_rs_join_two_input(
             &r, &s, &base.with_plan_mode(PlanMode::Sequential));
-        prop_assert_eq!(&piped.deps, &vec![vec![], vec![], vec![0, 1], vec![2]]);
+        prop_assert_eq!(&piped.deps, &vec![vec![], vec![], vec![0, 1]]);
         prop_assert_eq!(&piped.deps, &seq.deps);
         prop_assert_eq!(digest(&piped.pairs), digest(&seq.pairs));
         prop_assert_eq!(piped.candidates, seq.candidates);
@@ -251,8 +251,8 @@ proptest! {
             format!("{:?}", co.filter_stats),
             format!("{:?}", rk.filter_stats)
         );
-        // Both paths publish the same 4-stage DAG shape.
-        prop_assert_eq!(&co.deps, &vec![vec![], vec![], vec![0, 1], vec![2]]);
+        // Both paths publish the same 3-stage DAG shape.
+        prop_assert_eq!(&co.deps, &vec![vec![], vec![], vec![0, 1]]);
         prop_assert_eq!(&co.deps, &rk.deps);
 
         let co_join = &co.chain.jobs[2];

@@ -100,6 +100,16 @@ echo "== smoke: rsjoin plan equivalence gate (two-input fan-in, workers 2 vs 7, 
 # broadcast edges to the surface under test: its report (digest,
 # candidates, per-stage shuffle records/bytes) must also be invariant
 # across worker counts and plan modes.
+# The join stage verifies each pair only in the group of its smallest
+# shared token, so it must emit every result pair exactly once: the
+# report's join-output count (`candidates`) equals its `pairs`.
+emits_each_pair_once() {
+    local line pairs
+    line="$(grep '^result:' <<<"$1")"
+    pairs="${line#*pairs=}"
+    pairs="${pairs%% *}"
+    [[ -n "$pairs" && "$line" == *" candidates=$pairs" ]]
+}
 rs_pipe2="$(cargo run --release -p ssj-bench --bin determinism -- 2 pipelined rsjoin 2>/dev/null)"
 rs_seq2="$(cargo run --release -p ssj-bench --bin determinism -- 2 sequential rsjoin 2>/dev/null)"
 rs_pipe7="$(cargo run --release -p ssj-bench --bin determinism -- 7 pipelined rsjoin 2>/dev/null)"
@@ -110,6 +120,11 @@ for variant in rs_seq2 rs_pipe7; do
         exit 1
     fi
 done
+if ! emits_each_pair_once "$rs_pipe2"; then
+    echo "rsjoin plan equivalence gate FAILED: co-group join emitted a pair more than once" >&2
+    grep '^result:' <<<"$rs_pipe2" >&2 || true
+    exit 1
+fi
 echo "$rs_pipe2" | sed 's/^/  /'
 
 echo "== smoke: rsjoin join-path equivalence gate (cogroup vs rekey, workers 2 vs 7) =="
@@ -131,6 +146,11 @@ results_only() { grep -E '^(result|filters):' <<<"$1"; }
 if [[ "$(results_only "$rs_pipe2")" != "$(results_only "$rk_pipe2")" ]]; then
     echo "rsjoin join-path gate FAILED: cogroup and rekey paths disagree" >&2
     diff <(results_only "$rs_pipe2") <(results_only "$rk_pipe2") >&2 || true
+    exit 1
+fi
+if ! emits_each_pair_once "$rk_pipe2"; then
+    echo "rsjoin join-path gate FAILED: rekey join emitted a pair more than once" >&2
+    grep '^result:' <<<"$rk_pipe2" >&2 || true
     exit 1
 fi
 if ! grep -q '^job rsjoin-join: shuffle_records=0 shuffle_bytes=0 ' <<<"$rs_pipe2"; then
@@ -158,6 +178,11 @@ noprune_rs="$(cargo run --release -p ssj-bench --bin determinism -- 2 pipelined 
 if [[ "$rs_pipe2" != "$noprune_rs" ]]; then
     echo "kernel equivalence gate FAILED: bitmap prune changed the rsjoin report" >&2
     diff <(printf '%s\n' "$rs_pipe2") <(printf '%s\n' "$noprune_rs") >&2 || true
+    exit 1
+fi
+if ! emits_each_pair_once "$noprune_rs"; then
+    echo "kernel equivalence gate FAILED: rsjoin without the prune emitted a pair more than once" >&2
+    grep '^result:' <<<"$noprune_rs" >&2 || true
     exit 1
 fi
 echo "  prune on/off reports byte-identical (selfjoin + rsjoin)"
